@@ -130,8 +130,8 @@ int RunGate(const std::string& out_path) {
 
   const std::string exact_path = TempPath("bench_sketch_exact.admodel2");
   const std::string sketched_path = TempPath("bench_sketch_skch.admodel2");
-  AD_CHECK_OK(exact->Save(exact_path, ModelFormat::kV2));
-  AD_CHECK_OK(sketched->Save(sketched_path, ModelFormat::kV2));
+  AD_CHECK_OK(exact->Save(exact_path));
+  AD_CHECK_OK(sketched->Save(sketched_path));
   const std::string exact_bytes = ReadFileBytes(exact_path);
   const std::string sketched_bytes = ReadFileBytes(sketched_path);
   const uint64_t exact_data_len = ReadU64At(exact_bytes, 64);

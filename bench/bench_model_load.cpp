@@ -1,19 +1,23 @@
 /// \file bench_model_load.cpp
-/// Model artifact load-time benchmark: ADMODEL1 (streamed, rebuilds the hash
-/// tables on load) vs ADMODEL2 (mmap + checksum pass, tables served directly
-/// from the mapped bytes). Handwritten main rather than google-benchmark so
-/// the run can also assert the two correctness invariants the format change
-/// must preserve and emit them next to the timings:
+/// Model artifact load-time benchmark: ADMODEL2 cold loads (mmap + checksum
+/// pass, tables served directly from the mapped bytes) of the standard
+/// model. Handwritten main so the run can also assert the invariants the
+/// zero-copy format must keep and emit them next to the timing:
 ///
-///   * reports_identical — a v1-loaded and a v2-loaded copy of the same model
-///     produce byte-identical DetectReports (hexfloat-rendered confidences,
-///     so string equality is bit equality);
+///   * zero_copy — after Load the model is memory-mapped and every
+///     language's statistics are frozen views over the mapping (no table is
+///     rebuilt at load time);
+///   * load_ms — the median cold load stays under kMaxLoadMs;
+///   * reports_identical — the freshly trained in-memory model and its
+///     mapped copy produce byte-identical DetectReports (hexfloat-rendered
+///     confidences, so string equality is bit equality);
 ///   * reload_consistent — a batch detected before and after a mid-run
-///     ModelRegistry::Reload of the same artifact is byte-identical.
+///     ModelRegistry::Reload of a re-saved copy of the mapped model is
+///     byte-identical.
 ///
-/// Writes BENCH_model_load.json (path overridable via argv[1]) with
-/// v1_load_ms / v2_load_ms medians, the speedup ratio, and both flags.
+/// Writes BENCH_model_load.json (path overridable via argv[1]).
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -30,9 +34,10 @@ using namespace autodetect::benchutil;
 
 namespace {
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+/// Ceiling on the median cold load of the standard (~850 KB) model. Loads
+/// measure 0.11-0.13 ms on a 4-core 2.1 GHz x86 VM; the margin absorbs
+/// noisy neighbours without letting a table rebuild (milliseconds) through.
+constexpr double kMaxLoadMs = 0.25;
 
 /// Bit-exact rendering of one report (same idiom as model_v2_test).
 std::string Fingerprint(const DetectReport& report) {
@@ -55,10 +60,15 @@ std::vector<std::string> Fingerprints(const std::vector<DetectReport>& reports) 
   return out;
 }
 
+std::vector<std::string> Detect(const Model& model,
+                                const std::vector<DetectRequest>& batch) {
+  FixedModel provider(&model);
+  DetectionEngine engine(&provider);
+  return Fingerprints(engine.Detect(batch));
+}
+
 /// Median of repeated cold loads. Each iteration re-opens and fully loads the
-/// file; the page cache is warm for both formats, so the comparison isolates
-/// parse/rebuild cost (v1) vs map + checksum cost (v2), which is the part the
-/// format redesign targets.
+/// file with a warm page cache, so the timing isolates map + checksum cost.
 double MedianLoadMs(const std::string& path, int iters) {
   std::vector<double> ms;
   for (int i = 0; i < iters; ++i) {
@@ -78,22 +88,29 @@ int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : std::string("BENCH_model_load.json");
 
-  auto model = TrainOrLoadModel(StandardConfig());
-  AD_CHECK_OK(model.status());
+  // A private, empty cache directory forces a fresh training run, so the
+  // reference model is the trainer's in-memory output, not a mapped cache.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "bench_model_load";
+  std::filesystem::remove_all(dir);
+  HarnessConfig config = StandardConfig();
+  config.cache_dir = dir.string();
+  auto trained = TrainOrLoadModel(config);
+  AD_CHECK_OK(trained.status());
+  AD_CHECK(!trained->mapped());
 
-  const std::string v1_path = TempPath("bench_model_load.admodel1");
-  const std::string v2_path = TempPath("bench_model_load.admodel2");
-  AD_CHECK_OK(model->Save(v1_path, ModelFormat::kV1));
-  AD_CHECK_OK(model->Save(v2_path, ModelFormat::kV2));
-  const auto v1_bytes = std::filesystem::file_size(v1_path);
-  const auto v2_bytes = std::filesystem::file_size(v2_path);
+  const std::string path = (dir / "model.admodel2").string();
+  AD_CHECK_OK(trained->Save(path));
+  const auto file_bytes = std::filesystem::file_size(path);
 
   constexpr int kIters = 9;
-  const double v1_ms = MedianLoadMs(v1_path, kIters);
-  const double v2_ms = MedianLoadMs(v2_path, kIters);
-  const double speedup = v1_ms / v2_ms;
+  const double load_ms = MedianLoadMs(path, kIters);
 
-  // Correctness leg 1: identical reports from v1- and v2-loaded copies.
+  auto mapped = Model::Load(path);
+  AD_CHECK_OK(mapped.status());
+  bool zero_copy = mapped->mapped();
+  for (const auto& l : mapped->languages) zero_copy &= l.stats.frozen();
+
   RealisticTestOptions opts;
   opts.num_dirty = 32;
   opts.num_clean = 96;
@@ -101,31 +118,23 @@ int main(int argc, char** argv) {
   auto cases = GenerateRealisticTestSet(CorpusProfile::Web(), opts);
   const std::vector<DetectRequest> batch = RequestsFromCases(cases);
 
-  auto v1_model = Model::Load(v1_path);
-  auto v2_model = Model::Load(v2_path);
-  AD_CHECK_OK(v1_model.status());
-  AD_CHECK_OK(v2_model.status());
-  FixedModel v1_provider(&*v1_model);
-  FixedModel v2_provider(&*v2_model);
-  DetectionEngine v1_engine(&v1_provider);
-  DetectionEngine v2_engine(&v2_provider);
-  const auto v1_prints = Fingerprints(v1_engine.Detect(batch));
-  const auto v2_prints = Fingerprints(v2_engine.Detect(batch));
-  const bool reports_identical = v1_prints == v2_prints;
+  const auto mapped_prints = Detect(*mapped, batch);
+  const bool reports_identical = Detect(*trained, batch) == mapped_prints;
 
-  // Correctness leg 2: byte-identical reports across a mid-run hot reload.
+  const std::string resaved = (dir / "resaved.admodel2").string();
+  AD_CHECK_OK(mapped->Save(resaved));
   ModelRegistry registry;
-  AD_CHECK_OK(registry.Reload(v2_path));
+  AD_CHECK_OK(registry.Reload(path));
   DetectionEngine engine(&registry);
   const auto before = Fingerprints(engine.Detect(batch));
-  AD_CHECK_OK(registry.Reload(v1_path));  // format swap, same model
+  AD_CHECK_OK(registry.Reload(resaved));
   const auto after = Fingerprints(engine.Detect(batch));
   const bool reload_consistent =
-      before == after && before == v2_prints && registry.Generation() == 2;
+      before == after && before == mapped_prints && registry.Generation() == 2;
 
-  std::printf("v1 load: %8.3f ms (%s)\n", v1_ms, HumanBytes(v1_bytes).c_str());
-  std::printf("v2 load: %8.3f ms (%s)\n", v2_ms, HumanBytes(v2_bytes).c_str());
-  std::printf("speedup: %7.2fx\n", speedup);
+  std::printf("load: %8.3f ms (%s, ceiling %.2f ms)\n", load_ms,
+              HumanBytes(file_bytes).c_str(), kMaxLoadMs);
+  std::printf("zero_copy: %s\n", zero_copy ? "true" : "false");
   std::printf("reports_identical: %s\n", reports_identical ? "true" : "false");
   std::printf("reload_consistent: %s\n", reload_consistent ? "true" : "false");
 
@@ -133,25 +142,24 @@ int main(int argc, char** argv) {
   AD_CHECK(f != nullptr) << "cannot write " << out_path;
   std::fprintf(f,
                "{\n"
-               "  \"v1_load_ms\": %.3f,\n"
-               "  \"v2_load_ms\": %.3f,\n"
-               "  \"speedup\": %.2f,\n"
-               "  \"v1_file_bytes\": %zu,\n"
-               "  \"v2_file_bytes\": %zu,\n"
+               "  \"load_ms\": %.3f,\n"
+               "  \"max_load_ms\": %.3f,\n"
+               "  \"file_bytes\": %zu,\n"
                "  \"load_iters\": %d,\n"
+               "  \"zero_copy\": %s,\n"
                "  \"reports_identical\": %s,\n"
                "  \"reload_consistent\": %s\n"
                "}\n",
-               v1_ms, v2_ms, speedup, static_cast<size_t>(v1_bytes),
-               static_cast<size_t>(v2_bytes), kIters,
+               load_ms, kMaxLoadMs, static_cast<size_t>(file_bytes), kIters,
+               zero_copy ? "true" : "false",
                reports_identical ? "true" : "false",
                reload_consistent ? "true" : "false");
   std::fclose(f);
 
-  std::filesystem::remove(v1_path);
-  std::filesystem::remove(v2_path);
+  std::filesystem::remove_all(dir);
 
-  if (!reports_identical || !reload_consistent || speedup < 5.0) {
+  if (!zero_copy || load_ms > kMaxLoadMs || !reports_identical ||
+      !reload_consistent) {
     std::fprintf(stderr, "FAIL: invariants not met (see %s)\n",
                  out_path.c_str());
     return 1;

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     auto model = session.Finalize();
     AD_CHECK_OK(model.status());
     full_ms = watch.ElapsedSeconds() * 1e3;
-    AD_CHECK_OK(model->Save(full_path, ModelFormat::kV2));
+    AD_CHECK_OK(model->Save(full_path));
   }
 
   // Delta retrain: statistics over ONLY the new 10%, merged into the saved
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     auto model = session.Finalize();
     AD_CHECK_OK(model.status());
     delta_ms = watch.ElapsedSeconds() * 1e3;
-    AD_CHECK_OK(model->Save(delta_path, ModelFormat::kV2));
+    AD_CHECK_OK(model->Save(delta_path));
   }
 
   const double speedup = full_ms / delta_ms;

@@ -6,24 +6,6 @@
 
 namespace autodetect {
 
-// DetectRequest's special members live here, under suppression, so that
-// copying/destroying a request (which touches the deprecated `tag` alias)
-// never warns — only direct member access does.
-AD_SUPPRESS_DEPRECATED_BEGIN
-DetectRequest::DetectRequest() = default;
-DetectRequest::DetectRequest(std::string name_in,
-                             std::vector<std::string> values_in,
-                             RequestContext context_in)
-    : name(std::move(name_in)),
-      values(std::move(values_in)),
-      context(std::move(context_in)) {}
-DetectRequest::DetectRequest(const DetectRequest&) = default;
-DetectRequest::DetectRequest(DetectRequest&&) noexcept = default;
-DetectRequest& DetectRequest::operator=(const DetectRequest&) = default;
-DetectRequest& DetectRequest::operator=(DetectRequest&&) noexcept = default;
-DetectRequest::~DetectRequest() = default;
-AD_SUPPRESS_DEPRECATED_END
-
 namespace {
 
 /// The vector adapter's sink: one pre-sized slot per request. Index
@@ -66,7 +48,7 @@ DetectReport DetectionExecutor::DetectOne(const DetectRequest& request) {
         ->Add(1);
     DetectReport report;
     report.name = request.name;
-    report.tag = request.EffectiveTag();
+    report.tag = request.context.tag;
     report.status = ColumnStatus::kShed;
     return report;
   }

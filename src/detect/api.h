@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -32,16 +33,7 @@
 
 namespace autodetect {
 
-// Deprecation-suppression brackets for the one-release compatibility aliases
-// below: internal code that must read a deprecated field (to honor it) wraps
-// the access so the warning only fires on external callers.
-#define AD_SUPPRESS_DEPRECATED_BEGIN \
-  _Pragma("GCC diagnostic push")     \
-      _Pragma("GCC diagnostic ignored \"-Wdeprecated-declarations\"")
-#define AD_SUPPRESS_DEPRECATED_END _Pragma("GCC diagnostic pop")
-
-/// Who is asking and under what budget. Replaces the free-form metrics `tag`
-/// string of earlier releases with a structured triple:
+/// Who is asking and under what budget, as a structured triple:
 ///  * `tenant` — the isolation unit. The serving layers key per-tenant
 ///    admission control and `detect.tenant.<tenant>.*` metrics on it.
 ///  * `tag` — free-form workload label within a tenant (dataset, eval
@@ -61,43 +53,22 @@ struct RequestContext {
       : tenant(std::move(tenant_in)),
         tag(std::move(tag_in)),
         deadline_ms(deadline_ms_in) {}
-
-  /// Legacy positional-tag compatibility: `DetectRequest{name, values, "t"}`
-  /// call sites from the free-form-tag era keep compiling (the string lands
-  /// in `tag`), but with a deprecation warning for one release.
-  [[deprecated(
-      "the free-form DetectRequest tag is now RequestContext{tenant, tag, "
-      "deadline_ms}; construct the context explicitly")]]  //
-  RequestContext(const char* legacy_tag) : tag(legacy_tag) {}
-  [[deprecated(
-      "the free-form DetectRequest tag is now RequestContext{tenant, tag, "
-      "deadline_ms}; construct the context explicitly")]]  //
-  RequestContext(std::string legacy_tag) : tag(std::move(legacy_tag)) {}
 };
 
 /// One column to scan.
 struct DetectRequest {
-  // Special members are user-declared (defined in api.cc under deprecation
-  // suppression) so that synthesizing them never warns about the deprecated
-  // `tag` member at innocent call sites; only direct `tag` access warns.
-  DetectRequest();
+  DetectRequest() = default;
   DetectRequest(std::string name_in, std::vector<std::string> values_in,
-                RequestContext context_in = {});
-  DetectRequest(const DetectRequest&);
-  DetectRequest(DetectRequest&&) noexcept;
-  DetectRequest& operator=(const DetectRequest&);
-  DetectRequest& operator=(DetectRequest&&) noexcept;
-  ~DetectRequest();
+                RequestContext context_in = {})
+      : name(std::move(name_in)),
+        values(std::move(values_in)),
+        context(std::move(context_in)) {}
 
   /// Echoed back on the report; does not influence detection.
   std::string name;
   std::vector<std::string> values;
   /// Caller identity and budgets; see RequestContext.
   RequestContext context = {};
-  /// Deprecated alias for context.tag, honored when context.tag is empty —
-  /// kept for one release so `request.tag = "x"` call sites keep compiling
-  /// (with a warning). Use context.tag.
-  [[deprecated("use context.tag")]] std::string tag = {};
   /// Optional cancellation/deadline scope. The default token is inert (no
   /// clock reads, no cancellation); an active token makes executors poll it
   /// at safe points and return a partial report with the matching
@@ -105,14 +76,6 @@ struct DetectRequest {
   /// over context.deadline_ms, which wins over any executor-level default
   /// (the engine's default_deadline_ms).
   CancelToken cancel = {};
-
-  /// The tag executors act on: context.tag, falling back to the deprecated
-  /// alias so legacy callers keep their per-tag metrics for one release.
-  const std::string& EffectiveTag() const {
-    AD_SUPPRESS_DEPRECATED_BEGIN
-    return context.tag.empty() ? tag : context.tag;
-    AD_SUPPRESS_DEPRECATED_END
-  }
 };
 
 /// How one column's scan ended — the per-column resilience verdict. Ordered

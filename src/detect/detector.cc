@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/trace.h"
 #include "stats/npmi.h"
-#include "stats/stats_builder.h"
 #include "text/pattern.h"
 
 namespace autodetect {
@@ -114,31 +112,6 @@ Detector::Detector(const Model* model, DetectorOptions options)
       break;
     }
   }
-  // Sketch escape hatch: with sketch_estimates off, sketched languages are
-  // excluded from scoring, aggregation and the degraded fallback. The skip
-  // vector stays empty on the default path (and for exact-only models), so
-  // the hot loop pays nothing.
-  if (!options_.sketch_estimates) {
-    bool any_skipped = false;
-    skip_lang_.assign(model_->languages.size(), 0);
-    for (size_t i = 0; i < model_->languages.size(); ++i) {
-      if (model_->languages[i].stats.uses_sketch()) {
-        skip_lang_[i] = 1;
-        any_skipped = true;
-      }
-    }
-    if (!any_skipped) {
-      skip_lang_.clear();
-    } else {
-      for (size_t i = 0; i < skip_lang_.size(); ++i) {
-        if (!skip_lang_[i]) {
-          best_single_lang_ = i;
-          break;
-        }
-      }
-      if (skip_lang_[degrade_lang_]) degrade_lang_ = best_single_lang_;
-    }
-  }
 }
 
 const Detector::TagMetrics& Detector::MetricsForPrefix(
@@ -190,6 +163,7 @@ PairVerdict Detector::ScoreKeys(const uint64_t* k1, const uint64_t* k2,
   const auto& langs = model_->languages;
   const size_t n = langs.size();
   PairVerdict verdict;
+  if (n == 0) return verdict;  // empty model: neutral verdict
 
   // Per-language scores.
   double sum_s = 0, min_s = 1.0;
@@ -200,16 +174,12 @@ PairVerdict Detector::ScoreKeys(const uint64_t* k1, const uint64_t* k2,
   int best_lang = -1;
   bool any_fired = false;
 
-  const bool skipping = !skip_lang_.empty();
-  size_t scored = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (skipping && skip_lang_[i]) continue;  // sketch escape hatch
     const ModelLanguage& l = langs[i];
     NpmiScorer scorer(&l.stats, model_->smoothing_factor);
     NpmiScorer::ScoreDetail detail;
     double s = scorer.Score(k1[i], k2[i], &detail);
     if (detail.rare_fallback && rare_fallbacks != nullptr) ++*rare_fallbacks;
-    ++scored;
     sum_s += s;
     min_s = std::min(min_s, s);
     sum_theta += l.threshold;
@@ -228,12 +198,11 @@ PairVerdict Detector::ScoreKeys(const uint64_t* k1, const uint64_t* k2,
     }
     if (options_.aggregation == Aggregation::kBestSingle) break;  // only first
   }
-  if (scored == 0) return verdict;  // every language skipped: neutral verdict
 
   verdict.min_npmi = min_s;
   verdict.best_language = best_lang;
 
-  const double avg_theta = sum_theta / static_cast<double>(scored);
+  const double avg_theta = sum_theta / static_cast<double>(n);
   auto npmi_to_conf = [](double s) { return (1.0 - s) / 2.0; };
 
   switch (options_.aggregation) {
@@ -245,7 +214,7 @@ PairVerdict Detector::ScoreKeys(const uint64_t* k1, const uint64_t* k2,
       break;
     }
     case Aggregation::kAvgNpmi: {
-      double avg = sum_s / static_cast<double>(scored);
+      double avg = sum_s / static_cast<double>(n);
       verdict.incompatible = avg <= avg_theta;
       verdict.confidence = npmi_to_conf(avg);
       break;
@@ -256,8 +225,8 @@ PairVerdict Detector::ScoreKeys(const uint64_t* k1, const uint64_t* k2,
       break;
     }
     case Aggregation::kMajorityVote: {
-      verdict.incompatible = 2 * votes > scored;
-      verdict.confidence = static_cast<double>(votes) / static_cast<double>(scored);
+      verdict.incompatible = 2 * votes > n;
+      verdict.confidence = static_cast<double>(votes) / static_cast<double>(n);
       break;
     }
     case Aggregation::kWeightedMajorityVote: {
@@ -266,9 +235,9 @@ PairVerdict Detector::ScoreKeys(const uint64_t* k1, const uint64_t* k2,
       break;
     }
     case Aggregation::kBestSingle: {
-      const ModelLanguage& l = langs[best_single_lang_];
+      const ModelLanguage& l = langs[0];
       NpmiScorer scorer(&l.stats, model_->smoothing_factor);
-      double s = scorer.Score(k1[best_single_lang_], k2[best_single_lang_]);
+      double s = scorer.Score(k1[0], k2[0]);
       verdict.incompatible = s <= l.threshold;
       verdict.confidence = verdict.incompatible ? l.curve.PrecisionAt(s) : 0.0;
       verdict.best_language = verdict.incompatible ? l.lang_id : -1;
@@ -280,9 +249,6 @@ PairVerdict Detector::ScoreKeys(const uint64_t* k1, const uint64_t* k2,
 }
 
 PairVerdict Detector::ScoreKeysDegraded(const uint64_t* k1, const uint64_t* k2) const {
-  if (!skip_lang_.empty() && skip_lang_[degrade_lang_]) {
-    return PairVerdict{};  // every language sketched and estimates are off
-  }
   const ModelLanguage& l = model_->languages[degrade_lang_];
   NpmiScorer scorer(&l.stats, model_->smoothing_factor);
   double s = scorer.Score(k1[degrade_lang_], k2[degrade_lang_]);
@@ -328,7 +294,7 @@ DetectReport Detector::Detect(const DetectRequest& request, ColumnScratch* scrat
                               const CancelToken& fallback_cancel) const {
   DetectReport report;
   report.name = request.name;
-  report.tag = request.EffectiveTag();
+  report.tag = request.context.tag;
   // Cancellation precedence: a request-level token always wins; then the
   // request's own deadline budget (context.deadline_ms, mapped here onto the
   // CancelSource machinery — the token keeps the deadline state alive); last
@@ -410,45 +376,28 @@ ColumnReport Detector::Scan(const std::vector<std::string>& values,
       budgeted ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point();
 
   // Reduce the column to the distinct values to score, each with its
-  // first-occurrence row. The interned path indexes the column once through
-  // the FlatMap64 (no string copies, no per-row node allocations); the
-  // legacy path reproduces the pre-interner pipeline for A/B runs. Both
-  // yield the same value sequence and rows, so reports are byte-identical.
-  std::vector<std::string> legacy_distinct;
+  // first-occurrence row: the interner indexes the column once through the
+  // FlatMap64 (no string copies, no per-row node allocations).
+  scratch->interner.Intern(values);
+  scratch->interner.SampleIndices(options_.max_distinct_values, &scratch->sampled);
   std::vector<std::string_view> distinct;
   std::vector<uint32_t> first_rows;
-  if (options_.dedup) {
-    scratch->interner.Intern(values);
-    scratch->interner.SampleIndices(options_.max_distinct_values, &scratch->sampled);
-    distinct.reserve(scratch->sampled.size());
-    first_rows.reserve(scratch->sampled.size());
-    for (uint32_t idx : scratch->sampled) {
-      const ValueInterner::Entry& e = scratch->interner.entry(idx);
-      distinct.push_back(e.value);
-      first_rows.push_back(e.first_row);
-    }
-    const uint64_t nv = scratch->interner.num_values();
-    const uint64_t nd = scratch->interner.num_distinct();
-    const uint64_t ds = distinct.size();
-    metrics_.dedup_values_skipped->Add(nv - nd);
-    // Pairs a non-deduping scorer would have visited minus pairs this scan
-    // actually considers.
-    metrics_.dedup_pairs_skipped->Add(nv * (nv - 1) / 2 - ds * (ds - 1) / 2);
-    metrics_.dedup_distinct_ratio->Record(
-        nv == 0 ? 100.0 : 100.0 * static_cast<double>(nd) / static_cast<double>(nv));
-  } else {
-    legacy_distinct = DistinctValuesForStats(values, options_.max_distinct_values);
-    std::unordered_map<std::string_view, uint32_t> first_row;
-    for (size_t r = 0; r < values.size(); ++r) {
-      first_row.emplace(values[r], static_cast<uint32_t>(r));
-    }
-    distinct.reserve(legacy_distinct.size());
-    first_rows.reserve(legacy_distinct.size());
-    for (const std::string& v : legacy_distinct) {
-      distinct.push_back(v);
-      first_rows.push_back(first_row[v]);
-    }
+  distinct.reserve(scratch->sampled.size());
+  first_rows.reserve(scratch->sampled.size());
+  for (uint32_t idx : scratch->sampled) {
+    const ValueInterner::Entry& e = scratch->interner.entry(idx);
+    distinct.push_back(e.value);
+    first_rows.push_back(e.first_row);
   }
+  const uint64_t nv = scratch->interner.num_values();
+  const uint64_t nd = scratch->interner.num_distinct();
+  const uint64_t ds = distinct.size();
+  metrics_.dedup_values_skipped->Add(nv - nd);
+  // Pairs a non-deduping scorer would have visited minus pairs this scan
+  // actually considers.
+  metrics_.dedup_pairs_skipped->Add(nv * (nv - 1) / 2 - ds * (ds - 1) / 2);
+  metrics_.dedup_distinct_ratio->Record(
+      nv == 0 ? 100.0 : 100.0 * static_cast<double>(nd) / static_cast<double>(nv));
   report.distinct_values = distinct.size();
   const size_t d = distinct.size();
   if (d < 2) return report;

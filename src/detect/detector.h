@@ -57,19 +57,6 @@ struct DetectorOptions {
   /// report is flagged ColumnStatus::kDegraded — bounded latency instead of
   /// a silently slow column.
   uint64_t column_budget_us = 0;
-  /// Reduce each column to (distinct value, multiplicity, first row) via the
-  /// FlatMap64-backed ValueInterner before keying/scoring, instead of the
-  /// allocation-heavy DistinctValuesForStats + first-row map. Reports are
-  /// byte-identical either way (fuzz-verified); off is an escape hatch for
-  /// A/B runs and bisection (`scan --no-dedup`).
-  bool dedup = true;
-  /// Score languages whose co-occurrence table is a count-min sketch using
-  /// the sketch's estimates (the ADMODEL2 SKCH serving path, paper
-  /// Sec. 3.4). When off, sketched languages are excluded from scoring and
-  /// aggregation entirely — an escape hatch (`scan --no-sketch`) that
-  /// serves only the exact languages of a mixed model. Exact-only models
-  /// are unaffected either way.
-  bool sketch_estimates = true;
   /// Metrics destination; null means the process default registry. Metric
   /// handles are resolved once at Detector construction.
   MetricsRegistry* metrics = nullptr;
@@ -223,12 +210,6 @@ class Detector {
   /// Language index used by the degraded fallback: the crude G when the
   /// model selected it, else index 0 (highest training coverage).
   size_t degrade_lang_ = 0;
-  /// Non-empty iff sketch_estimates is off and the model mixes in sketched
-  /// languages: 1 marks languages excluded from scoring.
-  std::vector<uint8_t> skip_lang_;
-  /// First scorable language (kBestSingle / fallback target); 0 unless
-  /// sketched languages are being skipped.
-  size_t best_single_lang_ = 0;
   /// Shared-tokenization kernel over the model's selected languages: every
   /// scored value is scanned once, not once per language.
   MultiGeneralizer multi_keys_;

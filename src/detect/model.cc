@@ -13,8 +13,10 @@ namespace autodetect {
 
 namespace {
 
-constexpr char kMagic[] = "ADMODEL1";
 constexpr char kMagicV2[] = "ADMODEL2";
+/// The retired streamed format opened with a serde string: a u64 length of
+/// 8, then these bytes. Recognised only to reject it with a useful message.
+constexpr char kRetiredMagic[] = "ADMODEL1";
 
 /// ADMODEL2 fixed header: magic[8], u32 version, u32 native endian marker,
 /// u64 alignment, u64 file_size, then (offset, length, xxhash64) for the
@@ -79,58 +81,7 @@ std::string Model::Summary() const {
   return out;
 }
 
-void Model::Serialize(BinaryWriter* writer) const {
-  writer->WriteString(kMagic);
-  writer->WriteDouble(smoothing_factor);
-  writer->WriteDouble(precision_target);
-  writer->WriteString(corpus_name);
-  writer->WriteU64(trained_columns);
-  writer->WriteU64(languages.size());
-  for (const auto& l : languages) {
-    writer->WriteU32(static_cast<uint32_t>(l.lang_id));
-    writer->WriteDouble(l.threshold);
-    writer->WriteU64(l.train_coverage);
-    l.curve.Serialize(writer);
-    l.stats.Serialize(writer);
-  }
-}
-
-Result<Model> Model::Deserialize(BinaryReader* reader) {
-  AD_ASSIGN_OR_RETURN(std::string magic, reader->ReadString(16));
-  if (magic != kMagic) return Status::Corruption("not an Auto-Detect model file");
-  Model model;
-  AD_ASSIGN_OR_RETURN(model.smoothing_factor, reader->ReadDouble());
-  AD_ASSIGN_OR_RETURN(model.precision_target, reader->ReadDouble());
-  AD_ASSIGN_OR_RETURN(model.corpus_name, reader->ReadString());
-  AD_ASSIGN_OR_RETURN(model.trained_columns, reader->ReadU64());
-  AD_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
-  if (n > 10000) return Status::Corruption("implausible language count");
-  for (uint64_t i = 0; i < n; ++i) {
-    ModelLanguage l;
-    AD_ASSIGN_OR_RETURN(uint32_t id, reader->ReadU32());
-    if (id >= static_cast<uint32_t>(LanguageSpace::kNumLanguages)) {
-      return Status::Corruption("language id out of range");
-    }
-    l.lang_id = static_cast<int>(id);
-    AD_ASSIGN_OR_RETURN(l.threshold, reader->ReadDouble());
-    AD_ASSIGN_OR_RETURN(l.train_coverage, reader->ReadU64());
-    AD_ASSIGN_OR_RETURN(l.curve, PrecisionCurve::Deserialize(reader));
-    AD_ASSIGN_OR_RETURN(l.stats, LanguageStats::Deserialize(reader));
-    model.languages.push_back(std::move(l));
-  }
-  return model;
-}
-
-Status Model::Save(const std::string& path, ModelFormat format) const {
-  if (format == ModelFormat::kV2) return SaveV2(path);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  BinaryWriter writer(&out);
-  Serialize(&writer);
-  return writer.status().WithContext("writing " + path);
-}
-
-Status Model::SaveV2(const std::string& path) const {
+Status Model::Save(const std::string& path, ModelFormat) const {
   // Sketched co-occurrence tables move out of DATA into the page-aligned
   // SKCH section (header version 3). A model with only exact languages
   // writes version 2, byte-identical to pre-sketch builds.
@@ -230,34 +181,25 @@ Status Model::SaveV2(const std::string& path) const {
 }
 
 Result<Model> Model::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  char magic[8] = {0};
-  in.read(magic, 8);
-  if (in.gcount() == 8 && std::memcmp(magic, kMagicV2, 8) == 0) {
-    in.close();
-    return LoadV2(path);
-  }
-  in.clear();
-  in.seekg(0);
-  BinaryReader reader(&in);
-  auto model = Deserialize(&reader);
-  if (!model.ok()) return model.status().WithContext("loading " + path);
-  return model;
-}
-
-Result<Model> Model::LoadV2(const std::string& path) {
   AD_ASSIGN_OR_RETURN(MmapFile mapped, MmapFile::Open(path));
   auto backing = std::make_shared<MmapFile>(std::move(mapped));
   const uint8_t* base = backing->data();
   const size_t actual_size = backing->size();
+  if (actual_size >= 16 && std::memcmp(base + 8, kRetiredMagic, 8) == 0) {
+    return Status::Invalid(
+        path + " is an ADMODEL1 model, a retired format this build no longer "
+        "reads; retrain it (autodetect_cli train) to get an ADMODEL2 artifact");
+  }
+  // A short prefix of the magic is a truncated artifact; anything else is
+  // not a model at all.
+  if (actual_size > 0 &&
+      std::memcmp(base, kMagicV2, std::min<size_t>(actual_size, 8)) != 0) {
+    return Status::Corruption("not an ADMODEL2 file: " + path);
+  }
   if (actual_size < kV2HeaderBytes) {
     return Status::IOError(StrFormat(
         "truncated model header in %s: needed %zu bytes, got %zu", path.c_str(),
         kV2HeaderBytes, actual_size));
-  }
-  if (std::memcmp(base, kMagicV2, 8) != 0) {
-    return Status::Corruption("not an ADMODEL2 file: " + path);
   }
   uint32_t endian_marker;
   std::memcpy(&endian_marker, base + 12, 4);
@@ -348,7 +290,6 @@ Result<Model> Model::LoadV2(const std::string& path) {
   if (has_skch) backing->Advise(MmapFile::Advice::kRandom, skch_off, skch_len);
 
   Model model;
-  model.format_ = ModelFormat::kV2;
   model.backing_ = backing;
   const uint8_t* data = base + data_off;
   BinaryReader meta(base + meta_off, meta_len);

@@ -17,17 +17,14 @@
 /// offline training, load it client-side for detection (the paper's
 /// client-only deployment with a memory budget).
 ///
-/// Two on-disk formats coexist:
-///  * ADMODEL1 — the original streamed blob. Loading rebuilds every hash
-///    table (O(model size) allocation + hashing per process start).
-///  * ADMODEL2 — zero-copy artifact: a page-aligned header + META + DATA
-///    layout where the hot tables (pattern counts, co-occurrence maps,
-///    precision curves) are stored in their in-memory representation and
-///    the loaded Model points straight at the memory-mapped bytes. Load
-///    cost is one checksum pass; table pages fault in lazily as detection
-///    probes them, and concurrent processes share one page-cache copy.
-/// `Save` writes either format; `Load` dispatches on the leading magic, so
-/// existing ADMODEL1 files keep working.
+/// The on-disk format is ADMODEL2, a zero-copy artifact: a page-aligned
+/// header + META + DATA layout where the hot tables (pattern counts,
+/// co-occurrence maps, precision curves) are stored in their in-memory
+/// representation and the loaded Model points straight at the
+/// memory-mapped bytes. Load cost is one checksum pass; table pages fault
+/// in lazily as detection probes them, and concurrent processes share one
+/// page-cache copy. The retired streamed format (ADMODEL1) is recognised by
+/// its magic and rejected with a typed error that says to retrain.
 ///
 /// ADMODEL2 header version 3 adds an optional SKCH section after DATA:
 /// per-language count-min sketches of the co-occurrence tables (paper
@@ -57,11 +54,8 @@ struct ModelLanguage {
   }
 };
 
-/// On-disk model format selector.
-enum class ModelFormat {
-  kV1 = 1,  ///< ADMODEL1 streamed blob (legacy; still written for compat)
-  kV2 = 2,  ///< ADMODEL2 zero-copy mapped artifact (default)
-};
+/// The one on-disk format; kept, with Save's parameter, only for bench_e2e/inputs.cc.
+enum class ModelFormat { kV2 = 2 };
 
 /// Aggregate sketch footprint of a model (for metrics and CLI `info`).
 struct ModelSketchInfo {
@@ -89,33 +83,22 @@ class Model {
   /// One-line-per-language human description.
   std::string Summary() const;
 
-  void Serialize(BinaryWriter* writer) const;
-  static Result<Model> Deserialize(BinaryReader* reader);
-
-  /// \brief Writes the model to `path`. kV2 is the default: the zero-copy
-  /// artifact a client maps at load time. kV1 keeps producing files older
-  /// binaries can read.
+  /// \brief Writes the model to `path` as the zero-copy ADMODEL2 artifact a
+  /// client maps at load time.
   Status Save(const std::string& path, ModelFormat format = ModelFormat::kV2) const;
 
-  /// \brief Loads a model file of either format, dispatching on the leading
-  /// magic. ADMODEL2 fails closed: any checksum, bounds, or alignment
-  /// violation is an error (IOError for truncation, Corruption otherwise) —
-  /// never a partially-loaded model.
+  /// \brief Maps an ADMODEL2 file. Fails closed: any checksum, bounds, or
+  /// alignment violation is an error (IOError for truncation, Corruption
+  /// otherwise) — never a partially-loaded model. An ADMODEL1 file is
+  /// Invalid, naming the retired format.
   static Result<Model> Load(const std::string& path);
 
-  /// Format this model was loaded from (kV1 for freshly trained models —
-  /// the in-memory representation matches the v1 owning layout).
-  ModelFormat format() const { return format_; }
   /// True when the model's tables view a live file mapping.
   bool mapped() const { return backing_ != nullptr && backing_->mapped(); }
-  /// Size of the backing model file (0 for trained/v1-loaded models).
+  /// Size of the backing model file (0 for freshly trained models).
   size_t FileBytes() const { return backing_ == nullptr ? 0 : backing_->size(); }
 
  private:
-  static Result<Model> LoadV2(const std::string& path);
-  Status SaveV2(const std::string& path) const;
-
-  ModelFormat format_ = ModelFormat::kV1;
   /// Keeps the mapped ADMODEL2 file alive for the lifetime of the frozen
   /// views inside `languages`. Shared so Model copies stay cheap and safe.
   std::shared_ptr<MmapFile> backing_;

@@ -33,7 +33,7 @@ EngineOptions NormalizeOptions(EngineOptions options) {
 DetectReport MakeShedReport(const DetectRequest& request) {
   DetectReport report;
   report.name = request.name;
-  report.tag = request.EffectiveTag();
+  report.tag = request.context.tag;
   report.status = ColumnStatus::kShed;
   return report;
 }

@@ -26,21 +26,6 @@ void AppendU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-/// Shared tail of the count-mean-min estimators: median of the
-/// noise-corrected row values, clamped into [0, min_est].
-uint64_t CorrectedMedian(double* vals, size_t d, uint64_t min_est) {
-  std::sort(vals, vals + d);
-  double med =
-      (d & 1) ? vals[d / 2] : 0.5 * (vals[d / 2 - 1] + vals[d / 2]);
-  if (med <= 0) return 0;
-  uint64_t rounded = static_cast<uint64_t>(med + 0.5);
-  return rounded < min_est ? rounded : min_est;
-}
-
-/// Depth cap for the estimators' stack scratch. FrozenView::FromBytes
-/// rejects depth > 64 outright; deeper owned sketches (possible via the
-/// direct constructor) just fall back to the plain min estimate.
-constexpr size_t kMaxCorrectedDepth = 64;
 }  // namespace
 
 constexpr char CountMinSketch::kFrozenMagic[9];
@@ -101,20 +86,6 @@ uint64_t CountMinSketch::Estimate(uint64_t key) const {
     best = std::min(best, rows_[i * width_ + hashes_[i](key, width_)]);
   }
   return best;
-}
-
-uint64_t CountMinSketch::EstimateCorrected(uint64_t key) const {
-  const size_t d = hashes_.size();
-  const uint64_t min_est = Estimate(key);
-  if (width_ < 2 || d > kMaxCorrectedDepth) return min_est;
-  double vals[kMaxCorrectedDepth];
-  const double denom = static_cast<double>(width_ - 1);
-  for (size_t i = 0; i < d; ++i) {
-    const uint32_t c = rows_[i * width_ + hashes_[i](key, width_)];
-    const uint64_t off_mass = total_ > c ? total_ - c : 0;
-    vals[i] = static_cast<double>(c) - static_cast<double>(off_mass) / denom;
-  }
-  return CorrectedMedian(vals, d, min_est);
 }
 
 void CountMinSketch::AddConservative(uint64_t key, uint64_t count) {
@@ -275,22 +246,6 @@ uint64_t CountMinSketch::FrozenView::Estimate(uint64_t key) const {
     best = std::min(best, plane[hashes_[i](key, width_)]);
   }
   return best;
-}
-
-uint64_t CountMinSketch::FrozenView::EstimateCorrected(uint64_t key) const {
-  const size_t d = hashes_.size();
-  const uint64_t min_est = Estimate(key);
-  if (width_ < 2) return min_est;
-  double vals[kMaxCorrectedDepth];  // FromBytes rejects depth > 64
-  const double denom = static_cast<double>(width_ - 1);
-  for (size_t i = 0; i < d; ++i) {
-    const uint32_t* plane =
-        reinterpret_cast<const uint32_t*>(planes_ + i * plane_stride_);
-    const uint32_t c = plane[hashes_[i](key, width_)];
-    const uint64_t off_mass = total_ > c ? total_ - c : 0;
-    vals[i] = static_cast<double>(c) - static_cast<double>(off_mass) / denom;
-  }
-  return CorrectedMedian(vals, d, min_est);
 }
 
 void CountMinSketch::FrozenView::AppendTo(std::string* out) const {

@@ -63,29 +63,11 @@ class CountMinSketch {
   /// Point estimate: min over rows. Never below the true count.
   uint64_t Estimate(uint64_t key) const;
 
-  /// \brief Count–mean–min estimate (Deng & Rafiei, VLDB 2007): each row's
-  /// expected collision noise (total - counter) / (width - 1) is subtracted
-  /// from its counter, the median of the corrected rows is taken, and the
-  /// result is clamped into [0, Estimate(key)]. Near-unbiased where
-  /// Estimate is biased high — in particular it restores genuinely-zero
-  /// counts that collision mass masks at small widths. The price: unlike
-  /// Estimate, this can underestimate, and under heavy-tailed (zipf) mass
-  /// the mean per-counter noise dwarfs most true counts, so the correction
-  /// zeroes the entire tail of real keys. That is why the serving path
-  /// (LanguageStats::CoCount) uses AddConservative + Estimate instead:
-  /// co-occurrence mass is strongly zipf and the detector's NPMI signal
-  /// lives in the tail. Use this estimator only for near-uniform mass fed
-  /// with plain Add. Falls back to Estimate when width < 2 (no off-key
-  /// mass to measure noise from).
-  uint64_t EstimateCorrected(uint64_t key) const;
-
   /// Conservative update variant of Add: only raises counters that are
   /// below the new estimate. Strictly reduces overestimation on skewed
   /// (power-law) key distributions — the distribution shape the paper
-  /// observes for real co-occurrence counts. Incompatible with
-  /// EstimateCorrected: the correction calibrates noise from TotalMass()
-  /// assuming every row's counters sum to it, which only plain Add
-  /// maintains.
+  /// observes for real co-occurrence counts. Unlike plain Add, the rows'
+  /// counters no longer each sum to TotalMass().
   void AddConservative(uint64_t key, uint64_t count = 1);
 
   /// \brief Element-wise sum with `other` (counter saturation preserved).
@@ -152,10 +134,6 @@ class CountMinSketch {
     /// sketch.
     uint64_t Estimate(uint64_t key) const;
 
-    /// Count–mean–min estimate; bit-identical to the owning sketch's
-    /// EstimateCorrected. See CountMinSketch::EstimateCorrected.
-    uint64_t EstimateCorrected(uint64_t key) const;
-
     uint64_t TotalMass() const { return total_; }
     size_t width() const { return width_; }
     size_t depth() const { return hashes_.size(); }
@@ -171,8 +149,8 @@ class CountMinSketch {
     /// model without thawing).
     void AppendTo(std::string* out) const;
 
-    /// \brief Deep-copies into an owning sketch (v1 serialisation of mapped
-    /// models needs mutable access).
+    /// \brief Deep-copies into an owning sketch (re-embedding a mapped
+    /// sketch in a stats blob needs the streamed form).
     CountMinSketch Thaw() const;
 
    private:

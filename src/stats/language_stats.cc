@@ -173,20 +173,6 @@ void WriteSortedMap(BinaryWriter* writer, const FlatMap64& map) {
   }
 }
 
-template <typename ForEachFn>
-void WriteSortedEntries(BinaryWriter* writer, size_t n, ForEachFn&& for_each) {
-  std::vector<FlatMap64::Slot> entries;
-  entries.reserve(n);
-  for_each([&](uint64_t k, uint64_t v) {
-    entries.push_back(FlatMap64::Slot{k, v});
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const FlatMap64::Slot& a, const FlatMap64::Slot& b) {
-              return a.key < b.key;
-            });
-  WriteSortedSlots(writer, entries);
-}
-
 Result<FlatMap64> ReadSortedEntries(BinaryReader* reader, bool defer_hash) {
   AD_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
   std::vector<FlatMap64::Slot> entries;
@@ -208,22 +194,12 @@ Result<FlatMap64> ReadSortedEntries(BinaryReader* reader, bool defer_hash) {
 }  // namespace
 
 void LanguageStats::Serialize(BinaryWriter* writer) const {
+  AD_CHECK(!frozen_);
   writer->WriteU64(num_columns_);
-  if (frozen_) {
-    WriteSortedEntries(writer, NumPatterns(),
-                       [&](auto&& fn) { counts_view_.ForEach(fn); });
-  } else {
-    WriteSortedMap(writer, counts_);
-  }
+  WriteSortedMap(writer, counts_);
   writer->WriteU8(uses_sketch() ? 1 : 0);
   if (sketch_.has_value()) {
     sketch_->Serialize(writer);
-  } else if (sketch_external_) {
-    // ADMODEL1 has no external section; embed a thawed copy.
-    sketch_view_.Thaw().Serialize(writer);
-  } else if (frozen_) {
-    WriteSortedEntries(writer, NumCoPairs(),
-                       [&](auto&& fn) { co_view_.ForEach(fn); });
   } else {
     WriteSortedMap(writer, co_counts_);
   }

@@ -119,6 +119,8 @@ class LanguageStats {
   /// identical bytes. Only valid on owned, exact (unsketched) stats.
   void Canonicalize();
 
+  /// \brief Streams owned stats (shard artifacts, training checkpoints).
+  /// Frozen stats are written with AppendFrozen instead.
   void Serialize(BinaryWriter* writer) const;
 
   /// \brief Reads stats written by Serialize. With `defer_hash` the

@@ -47,8 +47,8 @@ class ValueInterner {
   /// \brief Writes the entry indices the stats pipeline keeps for a cap of
   /// `max_distinct`: all of them in first-occurrence order when within the
   /// cap, else the deterministic stride subsample — index for index the
-  /// same selection as DistinctValuesForStats (property-tested), so the
-  /// interned path scores exactly the values the legacy path scores.
+  /// same selection as DistinctValuesForStats (property-tested), so every
+  /// caller samples a column identically.
   void SampleIndices(size_t max_distinct, std::vector<uint32_t>* out) const;
 
  private:

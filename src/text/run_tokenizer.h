@@ -42,8 +42,8 @@ struct ClassRun {
 using RunSpan = std::span<const ClassRun>;
 
 /// The tokenizer implementation tiers, ordered weakest to widest. Dispatch
-/// picks the widest tier the build and the host CPU both support; tests and
-/// the --no-simd escape hatch can pin a weaker one. Every tier produces
+/// picks the widest tier the build and the host CPU both support; tests can
+/// pin a weaker one. Every tier produces
 /// byte-identical run lists (fuzz-verified against the scalar reference).
 enum class SimdTier : uint8_t {
   kScalar = 0,  ///< one byte at a time — the reference implementation

@@ -48,7 +48,6 @@ TEST(FlagSetTest, StrictErrors) {
   int64_t n = 0;
   FlagSet flags;
   flags.Int("count", &n, "an int");
-  flags.Deprecated("num", "count");
 
   {
     std::vector<std::string> args = {"tool", "cmd", "--bogus", "1"};
@@ -66,14 +65,6 @@ TEST(FlagSetTest, StrictErrors) {
     std::vector<std::string> args = {"tool", "cmd", "--count"};
     std::vector<char*> argv = Argv(args);
     EXPECT_FALSE(flags.Parse(static_cast<int>(argv.size()), argv.data(), 2).ok());
-  }
-  {
-    // Retired spellings point at the replacement instead of "unknown flag".
-    std::vector<std::string> args = {"tool", "cmd", "--num", "3"};
-    std::vector<char*> argv = Argv(args);
-    Status status = flags.Parse(static_cast<int>(argv.size()), argv.data(), 2);
-    ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.ToString().find("--count"), std::string::npos);
   }
 }
 

@@ -100,23 +100,12 @@ TEST(GoldenTest, FindingsMatchCheckedInGolden) {
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
 
   // Round-trip through the on-disk format: the golden file also guards the
-  // serializer, and detection runs on the loaded copy like a real deployment.
-  // AD_MODEL_FORMAT=v1 routes the round trip through the legacy streamed
-  // format instead of the default zero-copy ADMODEL2 — the golden output
-  // must be byte-identical either way (that is the v1/v2 equivalence gate
-  // tools/run_tier1.sh runs).
-  ModelFormat format = ModelFormat::kV2;
-  if (const char* env = std::getenv("AD_MODEL_FORMAT")) {
-    ASSERT_TRUE(std::string(env) == "v1" || std::string(env) == "v2")
-        << "AD_MODEL_FORMAT must be v1 or v2, got '" << env << "'";
-    if (std::string(env) == "v1") format = ModelFormat::kV1;
-  }
+  // serializer, and detection runs on the mapped copy like a real deployment.
   std::string model_path =
       (std::filesystem::temp_directory_path() / "ad_golden_model.bin").string();
-  ASSERT_TRUE(trained->Save(model_path, format).ok());
+  ASSERT_TRUE(trained->Save(model_path).ok());
   auto model = Model::Load(model_path);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
-  EXPECT_EQ(model->format(), format);
 
   std::vector<DetectRequest> batch = GoldenBatch();
   EngineOptions opts;

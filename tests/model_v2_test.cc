@@ -1,9 +1,9 @@
-// ADMODEL2 format tests: v1/v2 round-trips must produce byte-identical
-// detection reports, the v2 loader must fail closed on every corruption we
-// can synthesize (truncation, bit flips, header field damage), and the
-// re-serialization paths (v2 -> v1, v2 -> v2 from a mapped model) must
-// preserve behaviour. The fuzz cases run under the ASan/UBSan tier-1 legs:
-// a crash on any mangled input fails the gate, not just a wrong answer.
+// ADMODEL2 format tests: a save/load round trip must produce byte-identical
+// detection reports, the loader must fail closed on every corruption we can
+// synthesize (truncation, bit flips, header field damage) and on the retired
+// ADMODEL1 format, and re-saving a mapped model must preserve behaviour. The
+// fuzz cases run under the ASan/UBSan tier-1 legs: a crash on any mangled
+// input fails the gate, not just a wrong answer.
 
 #include <gtest/gtest.h>
 
@@ -127,66 +127,48 @@ class ModelV2Fixture : public ::testing::Test {
 Model* ModelV2Fixture::model_ = nullptr;
 Model* ModelV2Fixture::sketched_ = nullptr;
 
-TEST_F(ModelV2Fixture, V1AndV2RoundTripsAreByteIdentical) {
+TEST_F(ModelV2Fixture, RoundTripIsByteIdentical) {
   for (const Model* source : {model_, sketched_}) {
     std::vector<std::string> baseline = AllFingerprints(*source);
 
-    std::string v1_path = TempPath("ad_v2test_v1.bin");
-    std::string v2_path = TempPath("ad_v2test_v2.bin");
-    ASSERT_TRUE(source->Save(v1_path, ModelFormat::kV1).ok());
-    ASSERT_TRUE(source->Save(v2_path, ModelFormat::kV2).ok());
+    std::string path = TempPath("ad_v2test_v2.bin");
+    ASSERT_TRUE(source->Save(path).ok());
+    auto loaded = Model::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_GT(loaded->FileBytes(), 0u);
+    EXPECT_EQ(loaded->FileBytes(), std::filesystem::file_size(path));
+    EXPECT_EQ(loaded->languages.size(), source->languages.size());
+    EXPECT_EQ(loaded->corpus_name, source->corpus_name);
+    EXPECT_EQ(loaded->trained_columns, source->trained_columns);
+    EXPECT_EQ(AllFingerprints(*loaded), baseline);
 
-    auto v1 = Model::Load(v1_path);
-    auto v2 = Model::Load(v2_path);
-    ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-    EXPECT_EQ(v1->format(), ModelFormat::kV1);
-    EXPECT_EQ(v2->format(), ModelFormat::kV2);
-    EXPECT_FALSE(v1->mapped());
-    EXPECT_GT(v2->FileBytes(), 0u);
-    EXPECT_EQ(v2->FileBytes(), std::filesystem::file_size(v2_path));
-    EXPECT_EQ(v1->languages.size(), source->languages.size());
-    EXPECT_EQ(v2->languages.size(), source->languages.size());
-    EXPECT_EQ(v2->corpus_name, source->corpus_name);
-    EXPECT_EQ(v2->trained_columns, source->trained_columns);
-
-    EXPECT_EQ(AllFingerprints(*v1), baseline);
-    EXPECT_EQ(AllFingerprints(*v2), baseline);
-
-    std::filesystem::remove(v1_path);
-    std::filesystem::remove(v2_path);
+    std::filesystem::remove(path);
   }
 }
 
-TEST_F(ModelV2Fixture, MappedModelReserializesInBothFormats) {
-  // A v2-loaded (frozen, possibly mapped) model must be savable again in
-  // either format without thawing losses: load -> save -> load -> same
-  // reports.
-  std::string v2_path = TempPath("ad_v2test_reser.bin");
-  ASSERT_TRUE(sketched_->Save(v2_path, ModelFormat::kV2).ok());
-  auto mapped = Model::Load(v2_path);
+TEST_F(ModelV2Fixture, MappedModelReserializes) {
+  // A loaded (frozen, possibly mapped) model must be savable again without
+  // thawing losses: load -> save -> load -> same reports as the in-memory
+  // model.
+  std::vector<std::string> baseline = AllFingerprints(*sketched_);
+  std::string path = TempPath("ad_v2test_reser.bin");
+  ASSERT_TRUE(sketched_->Save(path).ok());
+  auto mapped = Model::Load(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  std::vector<std::string> baseline = AllFingerprints(*mapped);
 
-  std::string again_v1 = TempPath("ad_v2test_reser_v1.bin");
-  std::string again_v2 = TempPath("ad_v2test_reser_v2.bin");
-  ASSERT_TRUE(mapped->Save(again_v1, ModelFormat::kV1).ok());
-  ASSERT_TRUE(mapped->Save(again_v2, ModelFormat::kV2).ok());
-  auto from_v1 = Model::Load(again_v1);
-  auto from_v2 = Model::Load(again_v2);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  EXPECT_EQ(AllFingerprints(*from_v1), baseline);
-  EXPECT_EQ(AllFingerprints(*from_v2), baseline);
+  std::string again = TempPath("ad_v2test_reser_again.bin");
+  ASSERT_TRUE(mapped->Save(again).ok());
+  auto reloaded = Model::Load(again);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(AllFingerprints(*reloaded), baseline);
 
-  std::filesystem::remove(v2_path);
-  std::filesystem::remove(again_v1);
-  std::filesystem::remove(again_v2);
+  std::filesystem::remove(path);
+  std::filesystem::remove(again);
 }
 
 TEST_F(ModelV2Fixture, TruncationIsAlwaysATypedError) {
   std::string path = TempPath("ad_v2test_trunc.bin");
-  ASSERT_TRUE(model_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(model_->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
 
@@ -209,7 +191,7 @@ TEST_F(ModelV2Fixture, TruncationIsAlwaysATypedError) {
 
 TEST_F(ModelV2Fixture, BitFlipFuzzNeverCrashesAndNeverServesWrongReports) {
   std::string path = TempPath("ad_v2test_flip.bin");
-  ASSERT_TRUE(sketched_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(sketched_->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   std::vector<std::string> baseline = AllFingerprints(*sketched_);
@@ -240,7 +222,7 @@ TEST_F(ModelV2Fixture, BitFlipFuzzNeverCrashesAndNeverServesWrongReports) {
 
 TEST_F(ModelV2Fixture, TargetedHeaderAndSectionCorruptions) {
   std::string path = TempPath("ad_v2test_target.bin");
-  ASSERT_TRUE(model_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(model_->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
 
@@ -326,7 +308,7 @@ TEST_F(ModelV2Fixture, SketchedArtifactCarriesAlignedSkchSection) {
   ASSERT_GT(sketched_->SketchInfo().bytes, 0u);
 
   std::string path = TempPath("ad_v2test_skch.bin");
-  ASSERT_TRUE(sketched_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(sketched_->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
 
@@ -368,7 +350,7 @@ TEST_F(ModelV2Fixture, SketchFreeModelsStillWriteVersion2) {
   // header, no SKCH triple — so exact-mode goldens survive this feature.
   ASSERT_EQ(model_->SketchInfo().languages, 0u);
   std::string path = TempPath("ad_v2test_nosk.bin");
-  ASSERT_TRUE(model_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(model_->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   uint32_t version = 0;
@@ -386,10 +368,10 @@ TEST_F(ModelV2Fixture, SketchedSaveLoadSaveIsBitIdentical) {
   // verbatim; nothing is thawed or re-hashed along the way).
   std::string first = TempPath("ad_v2test_ident1.bin");
   std::string second = TempPath("ad_v2test_ident2.bin");
-  ASSERT_TRUE(sketched_->Save(first, ModelFormat::kV2).ok());
+  ASSERT_TRUE(sketched_->Save(first).ok());
   auto mapped = Model::Load(first);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_TRUE(mapped->Save(second, ModelFormat::kV2).ok());
+  ASSERT_TRUE(mapped->Save(second).ok());
   auto a = ReadFileBytes(first);
   auto b = ReadFileBytes(second);
   ASSERT_TRUE(a.ok());
@@ -401,7 +383,7 @@ TEST_F(ModelV2Fixture, SketchedSaveLoadSaveIsBitIdentical) {
 
 TEST_F(ModelV2Fixture, SketchedTruncationIsAlwaysATypedError) {
   std::string path = TempPath("ad_v2test_sktrunc.bin");
-  ASSERT_TRUE(sketched_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(sketched_->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   const uint64_t skch_off = ReadU64At(*bytes, 80);
@@ -428,7 +410,7 @@ TEST_F(ModelV2Fixture, SketchedTruncationIsAlwaysATypedError) {
 
 TEST_F(ModelV2Fixture, TargetedSkchCorruptions) {
   std::string path = TempPath("ad_v2test_sktarget.bin");
-  ASSERT_TRUE(sketched_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(sketched_->Save(path).ok());
   auto bytes = ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   const uint64_t skch_off = ReadU64At(*bytes, 80);
@@ -496,17 +478,28 @@ TEST_F(ModelV2Fixture, TargetedSkchCorruptions) {
   std::filesystem::remove(path);
 }
 
-TEST_F(ModelV2Fixture, V1FilesKeepLoadingUnchanged) {
-  // Compatibility gate: the v2 dispatch must leave v1 loading untouched,
-  // including its error behaviour on garbage.
-  std::string path = TempPath("ad_v2test_v1compat.bin");
-  ASSERT_TRUE(model_->Save(path, ModelFormat::kV1).ok());
+TEST(ModelLoadTest, RetiredV1FormatIsATypedErrorNamingIt) {
+  // ADMODEL1 opened with a serde string: u64 length 8, then the magic. The
+  // loader recognises it and says what to do instead of reporting garbage.
+  std::string path = TempPath("ad_v2test_v1.bin");
+  std::string v1(8, '\0');
+  v1[0] = 8;
+  v1 += "ADMODEL1";
+  v1 += std::string(64, '\x5a');
+  WriteFileBytes(path, v1);
   auto loaded = Model::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->format(), ModelFormat::kV1);
-  EXPECT_EQ(loaded->FileBytes(), 0u);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalid()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find("ADMODEL1"), std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find("retrain"), std::string::npos)
+      << loaded.status().ToString();
+
+  // Garbage is still an error, just not that one.
   WriteFileBytes(path, "definitely not a model");
-  EXPECT_FALSE(Model::Load(path).ok());
+  loaded = Model::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   std::filesystem::remove(path);
 }
 

@@ -128,8 +128,8 @@ class QualityDeltaTest : public ::testing::Test {
     // artifact, estimates reading the SKCH section in place.
     exact_path_ = new std::string(TempPath("ad_quality_exact.bin"));
     sketched_path_ = new std::string(TempPath("ad_quality_sketched.bin"));
-    ASSERT_TRUE(exact_->Save(*exact_path_, ModelFormat::kV2).ok());
-    ASSERT_TRUE(sketched->Save(*sketched_path_, ModelFormat::kV2).ok());
+    ASSERT_TRUE(exact_->Save(*exact_path_).ok());
+    ASSERT_TRUE(sketched->Save(*sketched_path_).ok());
     auto mapped = Model::Load(*sketched_path_);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     sketched_ = new Model(std::move(*mapped));

@@ -552,7 +552,7 @@ TEST_F(ResilienceFixture, WatcherRetriesFailedReloadWithBackoff) {
   namespace fs = std::filesystem;
   const std::string path =
       (fs::temp_directory_path() / "ad_resilience_watch.model").string();
-  ASSERT_TRUE(model_->Save(path, ModelFormat::kV2).ok());
+  ASSERT_TRUE(model_->Save(path).ok());
 
   ModelRegistry registry;
   ASSERT_TRUE(registry.StartWatch(path, std::chrono::milliseconds(20)).ok());
@@ -565,7 +565,7 @@ TEST_F(ResilienceFixture, WatcherRetriesFailedReloadWithBackoff) {
     FailpointSpec twice;
     twice.max_hits = 2;
     ScopedFailpoint fail("registry.reload.fail", twice);
-    ASSERT_TRUE(model_->Save(path, ModelFormat::kV2).ok());  // bump mtime
+    ASSERT_TRUE(model_->Save(path).ok());  // bump mtime
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
     while (registry.Generation() == generation &&
            std::chrono::steady_clock::now() < deadline) {

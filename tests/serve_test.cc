@@ -468,7 +468,7 @@ TEST_F(ServeFixture, UnifiedDetectCarriesNamesTagsAndLatency) {
   ASSERT_EQ(reports.size(), 3u);
   for (size_t i = 0; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].name, batch[i].name);
-    EXPECT_EQ(reports[i].tag, batch[i].EffectiveTag());
+    EXPECT_EQ(reports[i].tag, batch[i].context.tag);
   }
   // And the sequential executor produces the identical column reports.
   Detector sequential(model_);

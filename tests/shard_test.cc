@@ -186,7 +186,7 @@ TEST(ShardMergeTest, FinalizedModelByteIdenticalToOneShot) {
     GeneratedColumnSource source(gen);
     auto model = TrainModel(&source, train);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    ASSERT_TRUE(model->Save(one_shot_path, ModelFormat::kV2).ok());
+    ASSERT_TRUE(model->Save(one_shot_path).ok());
   }
   {
     std::vector<StatsShard> shards =
@@ -202,7 +202,7 @@ TEST(ShardMergeTest, FinalizedModelByteIdenticalToOneShot) {
     ASSERT_TRUE(session.Supervise(&source).ok());
     auto model = session.Finalize();
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    ASSERT_TRUE(model->Save(merged_path, ModelFormat::kV2).ok());
+    ASSERT_TRUE(model->Save(merged_path).ok());
   }
   EXPECT_EQ(ReadFileBytes(merged_path), ReadFileBytes(one_shot_path))
       << "sharded training produced a different model artifact";
@@ -231,7 +231,7 @@ TEST(ShardMergeTest, DeltaRetrainEquivalentToFullTrain) {
     GeneratedColumnSource source(new_gen);
     auto model = TrainModel(&source, train);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    ASSERT_TRUE(model->Save(full_path, ModelFormat::kV2).ok());
+    ASSERT_TRUE(model->Save(full_path).ok());
   }
   {
     // Yesterday's statistics, kept from the original training run...
@@ -258,7 +258,7 @@ TEST(ShardMergeTest, DeltaRetrainEquivalentToFullTrain) {
     ASSERT_TRUE(session.Supervise(&source).ok());
     auto model = session.Finalize();
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    ASSERT_TRUE(model->Save(delta_path, ModelFormat::kV2).ok());
+    ASSERT_TRUE(model->Save(delta_path).ok());
   }
   EXPECT_EQ(ReadFileBytes(delta_path), ReadFileBytes(full_path))
       << "delta retrain diverged from full training on the grown corpus";

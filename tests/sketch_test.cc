@@ -210,84 +210,6 @@ TEST(CountMinTest, EpsilonNBoundUnderBudgetSizing) {
 }
 
 // ---------------------------------------------------------------------------
-// Count-mean-min corrected estimator: bounded by [0, Estimate], tighter in
-// aggregate than the min estimate, and restores genuinely-zero keys that
-// collision mass masks at small widths.
-
-TEST(CountMinCorrectedTest, BoundedByZeroAndMinEstimate) {
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    CountMinSketch sketch(128, 4, seed);
-    Pcg32 rng(seed * 17);
-    for (int i = 0; i < 20000; ++i) sketch.Add(rng.NextZipf(2000, 1.2));
-    for (uint64_t key = 0; key < 4000; ++key) {
-      const uint64_t corrected = sketch.EstimateCorrected(key);
-      EXPECT_LE(corrected, sketch.Estimate(key)) << "seed " << seed;
-    }
-  }
-}
-
-TEST(CountMinCorrectedTest, TighterThanMinEstimateInAggregate) {
-  CountMinSketch sketch(128, 4, 9);
-  Pcg32 rng(99);
-  std::map<uint64_t, uint64_t> truth;
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t key = rng.NextZipf(2000, 1.2);
-    sketch.Add(key);
-    truth[key] += 1;
-  }
-  uint64_t min_err = 0, corrected_err = 0;
-  for (const auto& [key, count] : truth) {
-    min_err += sketch.Estimate(key) - count;  // min estimate >= truth
-    const uint64_t corrected = sketch.EstimateCorrected(key);
-    corrected_err += corrected > count ? corrected - count : count - corrected;
-  }
-  EXPECT_LT(corrected_err, min_err)
-      << "noise correction should shrink total absolute error on a "
-         "collision-heavy sketch";
-}
-
-TEST(CountMinCorrectedTest, RestoresMostZeroKeysUnderHeavyCollisions) {
-  // 2000 live keys in 128 counters: every row of every unseen key collides
-  // with real mass, so the min estimate is nonzero almost everywhere. The
-  // corrected estimate must bring most unseen keys back to zero — this is
-  // the property the detector's zero/nonzero co-occurrence signal needs.
-  CountMinSketch sketch(128, 4, 3);
-  Pcg32 rng(123);
-  for (int i = 0; i < 20000; ++i) sketch.Add(rng.NextZipf(2000, 1.2));
-  size_t unseen = 0, corrected_zero = 0;
-  for (uint64_t key = 1000000; key < 1002000; ++key) {
-    ++unseen;
-    if (sketch.EstimateCorrected(key) == 0) ++corrected_zero;
-  }
-  EXPECT_GE(corrected_zero * 10, unseen * 8)
-      << "corrected estimate restored only " << corrected_zero << "/" << unseen
-      << " unseen keys to zero";
-}
-
-TEST(CountMinCorrectedTest, FrozenViewMatchesOwningSketch) {
-  CountMinSketch sketch(256, 4, 21);
-  Pcg32 rng(7);
-  for (int i = 0; i < 10000; ++i) sketch.Add(rng.NextZipf(1500, 1.2));
-  std::string blob;
-  sketch.AppendFrozen(&blob);
-  auto view = CountMinSketch::FrozenView::FromBytes(blob.data(), blob.size());
-  ASSERT_TRUE(view.ok());
-  for (uint64_t key = 0; key < 3000; ++key) {
-    ASSERT_EQ(view->EstimateCorrected(key), sketch.EstimateCorrected(key))
-        << "key " << key;
-  }
-}
-
-TEST(CountMinCorrectedTest, WidthOneFallsBackToMinEstimate) {
-  CountMinSketch sketch(1, 4, 5);
-  sketch.Add(42, 10);
-  sketch.Add(43, 7);
-  // One counter per row holds the whole mass; no off-key noise to measure.
-  EXPECT_EQ(sketch.EstimateCorrected(42), sketch.Estimate(42));
-  EXPECT_EQ(sketch.EstimateCorrected(42), 17u);
-}
-
-// ---------------------------------------------------------------------------
 // Merge: exactness on Add streams, associativity / commutativity, and
 // dimension/seed compatibility checks.
 

@@ -85,12 +85,6 @@ bool ParseFlags(FlagSet& flags, int argc, char** argv, const char* synopsis,
   return true;
 }
 
-Result<ModelFormat> FormatByName(const std::string& name) {
-  if (name == "v1") return ModelFormat::kV1;
-  if (name == "v2") return ModelFormat::kV2;
-  return Status::Invalid("unknown --format '" + name + "' (expected v1 or v2)");
-}
-
 /// Rebuilds the synthetic column stream a stats artifact was built over
 /// (the generator's column i depends only on (seed, index), so a grown
 /// corpus's prefix matches the original stream exactly).
@@ -126,13 +120,12 @@ Status RequireFullCoverage(const ShardProvenance& prov) {
 /// a serving process watching the path (--model-watch / ModelRegistry)
 /// only ever sees a complete artifact and hot-swaps cleanly.
 Status FinalizeAndSave(TrainSession* session, ColumnSource* source,
-                       const std::string& out, ModelFormat format,
-                       bool atomic) {
+                       const std::string& out, bool atomic) {
   AD_RETURN_NOT_OK(session->Supervise(source));
   AD_ASSIGN_OR_RETURN(Model model, session->Finalize());
   if (atomic) {
     const std::string tmp = out + ".tmp";
-    AD_RETURN_NOT_OK(model.Save(tmp, format).WithContext("save failed"));
+    AD_RETURN_NOT_OK(model.Save(tmp).WithContext("save failed"));
     std::error_code ec;
     std::filesystem::rename(tmp, out, ec);
     if (ec) {
@@ -140,16 +133,15 @@ Status FinalizeAndSave(TrainSession* session, ColumnSource* source,
                              ec.message());
     }
   } else {
-    AD_RETURN_NOT_OK(model.Save(out, format).WithContext("save failed"));
+    AD_RETURN_NOT_OK(model.Save(out).WithContext("save failed"));
   }
   std::printf("%s", model.Summary().c_str());
-  std::printf("saved to %s (%s)\n", out.c_str(),
-              format == ModelFormat::kV2 ? "ADMODEL2" : "ADMODEL1");
+  std::printf("saved to %s (ADMODEL2)\n", out.c_str());
   return Status::OK();
 }
 
 int CmdTrain(int argc, char** argv) {
-  std::string profile_name = "WEB", out = "autodetect.model", format_name = "v2";
+  std::string profile_name = "WEB", out = "autodetect.model";
   std::string from_stats;
   int64_t columns = 30000, seed = 20180610, budget_mb = 64;
   int64_t sketch_budget_mb = 0;
@@ -174,22 +166,11 @@ int CmdTrain(int argc, char** argv) {
   flags.Double("smoothing", &smoothing, "NPMI smoothing factor");
   flags.Int("jobs", &jobs, "worker threads (0 = all cores)");
   flags.String("out", &out, "model output path");
-  flags.String("format", &format_name,
-               "model file format: v2 (zero-copy, default) or v1 (legacy)");
-  // Sharded training moved to dedicated subcommands; reject the spellings
-  // people will guess with a pointer instead of "unknown flag".
-  flags.Deprecated("shard", "the train-shard subcommand");
-  flags.Deprecated("num-shards", "the train-shard subcommand");
-  flags.Deprecated("merge", "the merge-stats subcommand");
-  flags.Deprecated("add-shard", "the retrain subcommand");
   metrics.Register(&flags);
   int rc = 0;
   if (!ParseFlags(flags, argc, argv, "autodetect_cli train [flags]", &rc)) {
     return rc;
   }
-
-  auto format = FormatByName(format_name);
-  if (!format.ok()) return Fail(format.status());
 
   if (sketch_budget_mb < 0) {
     return Fail(Status::Invalid("--sketch-budget-mb must be >= 0"));
@@ -231,7 +212,7 @@ int CmdTrain(int argc, char** argv) {
                 static_cast<unsigned long long>(session.corpus_columns()),
                 gen->profile.name.c_str(), train.precision_target,
                 HumanBytes(train.memory_budget_bytes).c_str());
-    trained = FinalizeAndSave(&session, &source, out, *format, /*atomic=*/false);
+    trained = FinalizeAndSave(&session, &source, out, /*atomic=*/false);
   } else {
     auto profile = ProfileByName(profile_name);
     if (!profile.ok()) return Fail(profile.status());
@@ -249,7 +230,7 @@ int CmdTrain(int argc, char** argv) {
     TrainSession session(train);
     trained = session.BuildStats(&source);
     if (trained.ok()) {
-      trained = FinalizeAndSave(&session, &source, out, *format, /*atomic=*/false);
+      trained = FinalizeAndSave(&session, &source, out, /*atomic=*/false);
     }
   }
   if (!trained.ok()) return Fail(trained.WithContext("training failed"));
@@ -361,7 +342,7 @@ int CmdMergeStats(int argc, char** argv) {
 }
 
 int CmdRetrain(int argc, char** argv) {
-  std::string model_path, stats_path, out, format_name = "v2";
+  std::string model_path, stats_path, out;
   std::vector<std::string> add_shards;
   int64_t budget_mb = 64;
   int64_t sketch_budget_mb = 0;
@@ -385,8 +366,6 @@ int CmdRetrain(int argc, char** argv) {
   flags.String("out", &out,
                "output model path (default: overwrite --model in place, "
                "atomically — a --model-watch server hot-swaps it)");
-  flags.String("format", &format_name,
-               "model file format: v2 (zero-copy, default) or v1 (legacy)");
   int rc = 0;
   if (!ParseFlags(flags, argc, argv,
                   "autodetect_cli retrain --model m.bin --stats base.ads "
@@ -397,8 +376,6 @@ int CmdRetrain(int argc, char** argv) {
   if (model_path.empty() || stats_path.empty()) {
     return Fail(Status::Invalid("retrain needs --model and --stats"));
   }
-  auto format = FormatByName(format_name);
-  if (!format.ok()) return Fail(format.status());
   if (out.empty()) out = model_path;
 
   auto model = Model::Load(model_path);
@@ -437,7 +414,7 @@ int CmdRetrain(int argc, char** argv) {
               static_cast<unsigned long long>(model->trained_columns),
               add_shards.size());
   Status trained =
-      FinalizeAndSave(&session, &source, out, *format, /*atomic=*/true);
+      FinalizeAndSave(&session, &source, out, /*atomic=*/true);
   if (!trained.ok()) return Fail(trained.WithContext("retrain failed"));
   if (out == model_path) {
     std::printf("swapped in place; serving processes watching it "
@@ -576,14 +553,9 @@ int CmdInfo(int argc, char** argv) {
   auto model = model_flags.Load();
   if (!model.ok()) return Fail(model.status());
   std::printf("%s", model->Summary().c_str());
-  // A v1 model is fully deserialized, not file-backed, so report the
-  // artifact's on-disk size rather than FileBytes() (0 when unmapped).
-  std::error_code ec;
-  const auto file_bytes = std::filesystem::file_size(model_flags.model, ec);
-  std::printf("format: %s%s, file %s\n",
-              model->format() == ModelFormat::kV2 ? "ADMODEL2" : "ADMODEL1",
+  std::printf("format: ADMODEL2%s, file %s\n",
               model->mapped() ? " (memory-mapped)" : "",
-              HumanBytes(ec ? 0 : file_bytes).c_str());
+              HumanBytes(model->FileBytes()).c_str());
   const ModelSketchInfo sketch = model->SketchInfo();
   if (sketch.languages > 0) {
     std::printf("sketch: %zu/%zu language(s) served from count-min sketches, "
@@ -803,9 +775,8 @@ void Usage() {
                "  train --columns N --profile WEB|WIKI|PUB-XLS|ENT-XLS\n"
                "        --precision P --budget-mb M [--sketch R |\n"
                "        --sketch-budget-mb M] [--seed S]\n"
-               "        [--out FILE] [--format v2|v1]    train + save a model\n"
-               "        (v2 = zero-copy mmap ADMODEL2, the default;\n"
-               "         v1 = legacy streamed ADMODEL1; --sketch-budget-mb\n"
+               "        [--out FILE]                     train + save a model\n"
+               "        (a zero-copy mmap ADMODEL2 artifact; --sketch-budget-mb\n"
                "         caps each language's co-occurrence sketch, writing\n"
                "         a v3 artifact with a page-aligned SKCH section that\n"
                "         scan auto-detects; --from-stats FILE skips the\n"
@@ -828,7 +799,6 @@ void Usage() {
                "        [--deadline-ms N] [--column-budget-us N]\n"
                "        [--queue-cap N [--admission-policy block|shed-oldest|\n"
                "         reject] [--admission-timeout-ms N]]\n"
-               "        [--no-simd] [--no-dedup] [--no-sketch]\n"
                "        file.csv...                       flag suspicious cells\n"
                "        (--jobs 0 = all cores; --cache-mb 0 disables the\n"
                "         cross-column pair-verdict cache; --model-watch\n"
@@ -836,11 +806,7 @@ void Usage() {
                "         --deadline-ms bounds batch latency with partial\n"
                "         reports; --column-budget-us degrades slow columns to\n"
                "         the single-language fallback; --queue-cap bounds\n"
-               "         in-flight work by admission policy; --no-simd and\n"
-               "         --no-dedup pin the scalar tokenizer / disable value\n"
-               "         interning — reports are identical either way;\n"
-               "         --no-sketch excludes sketched languages from\n"
-               "         scoring, serving only a mixed model's exact ones)\n"
+               "         in-flight work by admission policy)\n"
                "  serve --model FILE [--port N] [--tenants SPEC]\n"
                "        [--acceptors N] [--port-file FILE]  network server:\n"
                "        ADWIRE1 binary + HTTP/1.1 JSON on one port\n"

@@ -18,7 +18,6 @@
 #include "obs/dump.h"
 #include "serve/detection_engine.h"
 #include "serve/model_registry.h"
-#include "text/run_tokenizer.h"
 
 /// \file flag_set.h
 /// Shared typed flag parsing for the CLI tools. Each tool registers the
@@ -66,20 +65,6 @@ class FlagSet {
              Flag{Flag::kStringList, target, std::move(help), ""});
   }
 
-  /// \brief Registers a retired spelling. Using it is a parse error that
-  /// names the replacement — strictly better than silently accepting two
-  /// spellings forever or "unknown flag" with no hint. `replacement` is
-  /// either a bare flag name ("model", rendered as --model) or a free-text
-  /// pointer ("the train-shard subcommand") for flags whose job moved to a
-  /// different subcommand entirely.
-  void Deprecated(std::string name, std::string replacement) {
-    if (replacement.rfind("--", 0) != 0 &&
-        replacement.find(' ') == std::string::npos) {
-      replacement = "--" + replacement;
-    }
-    deprecated_.emplace(std::move(name), std::move(replacement));
-  }
-
   /// \brief Parses argv[start..argc). Flags may appear in any position;
   /// non-flag tokens accumulate as positionals (readable via positional()).
   /// `--help` / `-h` are built in: they short-circuit parsing (nothing after
@@ -97,11 +82,6 @@ class FlagSet {
         continue;
       }
       std::string name = arg.substr(2);
-      auto dep = deprecated_.find(name);
-      if (dep != deprecated_.end()) {
-        return Status::Invalid("flag --" + name + " was retired; use " +
-                               dep->second);
-      }
       auto it = flags_.find(name);
       if (it == flags_.end()) {
         return Status::Invalid("unknown flag --" + name);
@@ -208,30 +188,24 @@ class FlagSet {
   void Register(std::string name, Flag flag) { flags_.emplace(std::move(name), flag); }
 
   std::map<std::string, Flag> flags_;
-  std::map<std::string, std::string> deprecated_;  ///< old name -> new name
   std::vector<std::string> positional_;
   bool help_requested_ = false;
 };
 
 /// The model-acquisition knobs shared by every model-consuming command:
 /// `--model PATH` names the artifact, `--model-watch` turns on hot reload
-/// (mtime-polled via ModelRegistry). Old flag spellings are registered as
-/// deprecated so users get pointed at the new name instead of a bare
-/// "unknown flag".
+/// (mtime-polled via ModelRegistry).
 struct ModelFlags {
   std::string model = "autodetect.model";
   bool model_watch = false;
   int64_t model_poll_ms = 1000;
 
   void Register(FlagSet* flags) {
-    flags->String("model", &model, "trained model file (ADMODEL1 or ADMODEL2)");
+    flags->String("model", &model, "trained model file (ADMODEL2)");
     flags->Bool("model-watch", &model_watch,
                 "hot-reload the model when the file changes");
     flags->Int("model-poll-ms", &model_poll_ms,
                "mtime poll interval for --model-watch");
-    flags->Deprecated("model-path", "model");
-    flags->Deprecated("model-file", "model");
-    flags->Deprecated("watch", "model-watch");
   }
 
   /// \brief Loads the model once, with a hint appended to load failures.
@@ -275,9 +249,6 @@ struct EngineFlags {
   int64_t queue_cap = 0;          ///< admission cap in columns; 0 = unbounded
   std::string admission_policy = "block";
   int64_t admission_timeout_ms = 1000;
-  bool no_simd = false;   ///< pin the tokenizer to the scalar reference
-  bool no_dedup = false;  ///< score columns without value interning
-  bool no_sketch = false; ///< exclude sketch-compressed languages from scoring
 
   void Register(FlagSet* flags) {
     flags->Int("jobs", &jobs, "worker threads (0 = all cores)");
@@ -296,15 +267,6 @@ struct EngineFlags {
     flags->Int("admission-timeout-ms", &admission_timeout_ms,
                "longest a batch waits for capacity under --admission-policy "
                "block");
-    flags->Bool("no-simd", &no_simd,
-                "tokenize with the scalar reference instead of the dispatched "
-                "SIMD tier (escape hatch / A-B runs)");
-    flags->Bool("no-dedup", &no_dedup,
-                "scan columns without value interning (escape hatch; reports "
-                "are identical either way)");
-    flags->Bool("no-sketch", &no_sketch,
-                "exclude sketch-compressed languages from scoring (escape "
-                "hatch for mixed exact/sketched models)");
   }
 
   Status Apply(EngineOptions* options) const {
@@ -312,10 +274,6 @@ struct EngineFlags {
     options->cache_bytes = static_cast<size_t>(cache_mb) << 20;
     options->default_deadline_ms = static_cast<uint64_t>(deadline_ms);
     options->detector.column_budget_us = static_cast<uint64_t>(column_budget_us);
-    options->detector.dedup = !no_dedup;
-    options->detector.sketch_estimates = !no_sketch;
-    // Process-wide: the tokenizer dispatch is shared by every detector.
-    if (no_simd) SetSimdTier(SimdTier::kScalar);
     options->admission.queue_cap_columns = static_cast<size_t>(queue_cap);
     Result<AdmissionPolicy> policy = ParseAdmissionPolicy(admission_policy);
     if (!policy.ok()) {

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: configure, build, run the full test suite (the golden leg
-# runs once per model artifact format, MODEL=v1 and MODEL=v2, and must
-# produce identical reports), then run the generalization-kernel,
-# detection-engine and model-load benchmarks and leave their JSON reports in
-# the build directory (BENCH_generalize.json, BENCH_detect.json,
-# BENCH_model_load.json). Two of those are self-gating: bench_model_load
-# asserts v2 cold-load speedup and v1/v2 + hot-reload report equivalence;
+# Tier-1 gate: configure, build, run the full test suite, then run the
+# generalization-kernel and model-load benchmarks and leave their JSON
+# reports in the build directory (BENCH_generalize.json,
+# BENCH_model_load.json). Both are self-gating: bench_model_load asserts the
+# loaded model is zero-copy (mapped, frozen stats), a cold-load ceiling, and
+# trained/mapped + hot-reload report equivalence;
 # bench_generalize_kernel asserts SIMD-tier/scalar tokenizer equivalence,
 # a >=2x keys/s floor for the shared-tokenization kernel over the
 # per-language loop, and a >=2x SIMD-vs-scalar tokenize floor on
@@ -39,13 +38,6 @@
 #
 #   SIMD=off tools/run_tier1.sh
 #
-# Opt-in model-format mode: MODEL=v1 (or v2) builds the default tree and
-# runs just the golden detection suite with the model round-tripped through
-# that artifact format — the full gate already runs both; this is the quick
-# single-format spelling:
-#
-#   MODEL=v1 tools/run_tier1.sh
-#
 # Opt-in chaos mode: FAILPOINTS=on builds a separate build-failpoints tree
 # with -DAUTODETECT_FAILPOINTS=ON and runs (a) resilience_test, which arms
 # failpoints through the API (reload failures, short reads, forced cache
@@ -63,10 +55,10 @@
 # Opt-in sketch mode: SKETCH=on runs the full suite in the default tree
 # (which includes the quality-delta harness pinning sketched-vs-exact
 # precision/recall), re-checks exact-mode golden byte-identity on the
-# sketch-capable build for both artifact formats, and runs the self-gating
-# sketch benchmark, which asserts the SKCH section costs <= 10% of the
-# exact DATA bytes, an estimate throughput floor, and the precision-delta
-# bound, leaving BENCH_sketch.json in the build directory:
+# sketch-capable build, and runs the self-gating sketch benchmark, which
+# asserts the SKCH section costs <= 10% of the exact DATA bytes, an Estimate
+# throughput floor, and the precision-delta bound, leaving BENCH_sketch.json
+# in the build directory:
 #
 #   SKETCH=on tools/run_tier1.sh
 #
@@ -107,7 +99,6 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
 SANITIZE="${SANITIZE:-}"
 METRICS="${METRICS:-on}"
-MODEL="${MODEL:-}"
 FAILPOINTS="${FAILPOINTS:-off}"
 SIMD="${SIMD:-on}"
 SKETCH="${SKETCH:-off}"
@@ -124,8 +115,7 @@ if [[ "$SIMD" == "off" ]]; then
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
   # Scalar-only reports must be byte-identical to the SIMD build's golden
   # reports — same fixtures, same expectations.
-  AD_MODEL_FORMAT=v1 "$BUILD_DIR/tests/golden_test"
-  AD_MODEL_FORMAT=v2 "$BUILD_DIR/tests/golden_test"
+  "$BUILD_DIR/tests/golden_test"
   echo "tests green with -DAUTODETECT_NO_SIMD=ON (scalar tokenizer)"
   exit 0
 fi
@@ -139,19 +129,6 @@ if [[ "$METRICS" == "off" ]]; then
   cmake --build "$BUILD_DIR" -j "$JOBS"
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
   echo "tests green with -DAUTODETECT_NO_METRICS=ON"
-  exit 0
-fi
-
-if [[ -n "$MODEL" ]]; then
-  if [[ "$MODEL" != "v1" && "$MODEL" != "v2" ]]; then
-    echo "MODEL must be v1 or v2, got '$MODEL'" >&2
-    exit 2
-  fi
-  BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build}"
-  cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
-  cmake --build "$BUILD_DIR" -j "$JOBS" --target golden_test
-  AD_MODEL_FORMAT="$MODEL" "$BUILD_DIR/tests/golden_test"
-  echo "golden detection suite green with the $MODEL model artifact"
   exit 0
 fi
 
@@ -253,11 +230,10 @@ if [[ "$SKETCH" == "on" ]]; then
   # the committed golden metric table.
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
   # Exact-mode golden reports must stay byte-identical on a sketch-capable
-  # build, in both artifact formats — sketching is strictly opt-in.
-  AD_MODEL_FORMAT=v1 "$BUILD_DIR/tests/golden_test"
-  AD_MODEL_FORMAT=v2 "$BUILD_DIR/tests/golden_test"
+  # build — sketching is strictly opt-in.
+  "$BUILD_DIR/tests/golden_test"
   # Self-gating sketch benchmark: SKCH <= 10% of exact DATA bytes,
-  # corrected-estimate throughput floor, precision-delta bound.
+  # Estimate throughput floor, precision-delta bound.
   "$BUILD_DIR/bench/bench_fig8a_sketch" "$BUILD_DIR/BENCH_sketch.json"
   echo "sketch gate green; report: $BUILD_DIR/BENCH_sketch.json"
   exit 0
@@ -401,10 +377,8 @@ for site in serve.worker.slow serve.worker.wedge net.accept.fail \
   fi
 done
 
-# Golden reports must be byte-identical regardless of the on-disk model
-# format the pipeline round-trips through (ctest already ran the v2 default).
-AD_MODEL_FORMAT=v1 "$BUILD_DIR/tests/golden_test"
-AD_MODEL_FORMAT=v2 "$BUILD_DIR/tests/golden_test"
+# Golden reports, byte-identical through the ADMODEL2 round trip.
+"$BUILD_DIR/tests/golden_test"
 
 # Kernel throughput report: per-ISA-tier tokenize bytes/s and kernel keys/s
 # vs the per-language loop. Self-gating — exits non-zero if any SIMD tier
@@ -413,16 +387,10 @@ AD_MODEL_FORMAT=v2 "$BUILD_DIR/tests/golden_test"
 # bytes/s on run-dominated cells.
 "$BUILD_DIR/bench/bench_generalize_kernel" "$BUILD_DIR/BENCH_generalize.json"
 
-# Serving throughput report: sequential Detector vs DetectionEngine at
-# 1/2/4/8 workers, cached and uncached (columns/s + cache hit rate).
-"$BUILD_DIR/bench/bench_detect_engine" \
-  --benchmark_min_time=0.1 \
-  --benchmark_out="$BUILD_DIR/BENCH_detect.json" \
-  --benchmark_out_format=json
-
-# Model artifact report: ADMODEL1 vs ADMODEL2 cold-load medians plus the
-# report-equivalence invariants; exits non-zero if v2 is not >=5x faster or
-# any v1/v2/hot-reload report differs.
+# Model artifact report: ADMODEL2 cold-load median plus the zero-copy and
+# report-equivalence invariants; exits non-zero if the loaded model is not
+# mapped with frozen stats, the median load exceeds 0.25 ms, or any
+# trained/mapped/hot-reload report differs.
 "$BUILD_DIR/bench/bench_model_load" "$BUILD_DIR/BENCH_model_load.json"
 
-echo "tier-1 green; benchmark reports: $BUILD_DIR/BENCH_generalize.json $BUILD_DIR/BENCH_detect.json $BUILD_DIR/BENCH_model_load.json"
+echo "tier-1 green; benchmark reports: $BUILD_DIR/BENCH_generalize.json $BUILD_DIR/BENCH_model_load.json"
