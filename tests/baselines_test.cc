@@ -36,8 +36,23 @@ bool Flags(const ErrorDetectorMethod& m, const std::vector<std::string>& column,
 
 // ---------------------------------------------------------- shared basics
 
-class EveryBaselineTest
-    : public ::testing::TestWithParam<std::shared_ptr<ErrorDetectorMethod>> {};
+// One baseline under test. It prints as its name: gtest's default shared_ptr
+// printer shows heap addresses, and gtest_discover_tests builds the ctest id
+// from the printed parameter, so the ids would change on every build.
+struct Baseline {
+  std::shared_ptr<ErrorDetectorMethod> method;
+  const ErrorDetectorMethod& operator*() const { return *method; }
+};
+
+void PrintTo(const Baseline& b, std::ostream* os) {
+  std::string name(b.method->name());
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  *os << name;
+}
+
+class EveryBaselineTest : public ::testing::TestWithParam<Baseline> {};
 
 TEST_P(EveryBaselineTest, EmptyAndTinyColumnsYieldNothing) {
   const auto& m = *GetParam();
@@ -86,23 +101,16 @@ TEST_P(EveryBaselineTest, Deterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllBaselines, EveryBaselineTest,
-    ::testing::Values(std::make_shared<FRegexDetector>(),
-                      std::make_shared<PWheelDetector>(),
-                      std::make_shared<DBoostDetector>(),
-                      std::make_shared<LinearDetector>(),
-                      std::make_shared<LinearPDetector>(),
-                      std::make_shared<CdmDetector>(),
-                      std::make_shared<LsaDetector>(),
-                      std::make_shared<SvddDetector>(),
-                      std::make_shared<DbodDetector>(),
-                      std::make_shared<LofDetector>()),
-    [](const auto& info) {
-      std::string name(info.param->name());
-      for (char& c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      }
-      return name;
-    });
+    ::testing::Values(Baseline{std::make_shared<FRegexDetector>()},
+                      Baseline{std::make_shared<PWheelDetector>()},
+                      Baseline{std::make_shared<DBoostDetector>()},
+                      Baseline{std::make_shared<LinearDetector>()},
+                      Baseline{std::make_shared<LinearPDetector>()},
+                      Baseline{std::make_shared<CdmDetector>()},
+                      Baseline{std::make_shared<LsaDetector>()},
+                      Baseline{std::make_shared<SvddDetector>()},
+                      Baseline{std::make_shared<DbodDetector>()},
+                      Baseline{std::make_shared<LofDetector>()}));
 
 // ----------------------------------------------------------------- FRegex
 
