@@ -170,7 +170,7 @@ class ReportSink {
 ///    worker pool with a shared verdict cache; thread-safe.
 ///
 /// The streaming overload is THE entry point: implementations define it, and
-/// the vector/single conveniences below are adapters over it. Derived
+/// the vector convenience below is an adapter over it. Derived
 /// classes should `using DetectionExecutor::Detect;` so both overloads stay
 /// visible on the concrete type.
 class DetectionExecutor {
@@ -186,12 +186,6 @@ class DetectionExecutor {
   /// \brief Batch convenience: collects the stream into one report per
   /// request, in request order.
   std::vector<DetectReport> Detect(const std::vector<DetectRequest>& batch);
-
-  /// \brief Single-request convenience. Always echoes the request's name and
-  /// effective tag; if an executor fails to deliver a report (a broken
-  /// custom implementation), the result is an empty kShed report rather
-  /// than a silently-default one.
-  virtual DetectReport DetectOne(const DetectRequest& request);
 };
 
 }  // namespace autodetect

@@ -249,7 +249,8 @@ class SequentialExecutor : public DetectionExecutor {
 
   using DetectionExecutor::Detect;
   void Detect(const std::vector<DetectRequest>& batch, ReportSink& sink) override;
-  DetectReport DetectOne(const DetectRequest& request) override;
+  /// Single-request convenience: scans `request` on the calling thread.
+  DetectReport DetectOne(const DetectRequest& request);
 
  private:
   /// The detector to use for this call; refreshes the pinned snapshot in

@@ -12,28 +12,21 @@ namespace autodetect {
 
 namespace {
 
-/// Depth LanguageStats::CompressToSketch{,Budget} builds sketches with.
+/// Depth LanguageStats::CompressToSketch builds sketches with.
 constexpr size_t kSketchDepth = 4;
 
 /// Counter bytes the co-occurrence store will actually occupy under the
-/// sketch knobs: the exact dictionary when compression is off, otherwise
+/// sketch ratio: the exact dictionary when compression is off, otherwise
 /// the power-of-two-width sketch CountMinSketch::FromMemoryBudget will
 /// allocate — unless that sketch would not shrink the table, in which case
 /// the language stays exact (sketching a tiny dictionary only loses
 /// accuracy). A sketch must beat the exact dictionary on BOTH resident
 /// counters and frozen-blob bytes (header + plane padding included) or the
-/// language stays exact. An absolute per-language byte budget takes
-/// precedence over the relative ratio.
-size_t PlannedCoBytes(size_t co_bytes, double ratio, size_t sketch_budget_bytes) {
-  size_t target;
-  if (sketch_budget_bytes > 0) {
-    target = sketch_budget_bytes;
-  } else if (ratio < 1.0) {
-    target = std::max<size_t>(
-        64, static_cast<size_t>(static_cast<double>(co_bytes) * ratio));
-  } else {
-    return co_bytes;
-  }
+/// language stays exact.
+size_t PlannedCoBytes(size_t co_bytes, double ratio) {
+  if (ratio >= 1.0) return co_bytes;
+  const size_t target = std::max<size_t>(
+      64, static_cast<size_t>(static_cast<double>(co_bytes) * ratio));
   size_t width = CountMinSketch::WidthForBudget(target, kSketchDepth);
   size_t planned = width * kSketchDepth * sizeof(uint32_t);
   if (planned >= co_bytes ||
@@ -43,12 +36,11 @@ size_t PlannedCoBytes(size_t co_bytes, double ratio, size_t sketch_budget_bytes)
   return planned;
 }
 
-/// True when the knobs call for compressing this language (the planned
+/// True when the ratio calls for compressing this language (the planned
 /// sketch is strictly smaller than the exact dictionary).
-bool ShouldSketch(const LanguageStats& stats, double ratio,
-                  size_t sketch_budget_bytes) {
+bool ShouldSketch(const LanguageStats& stats, double ratio) {
   size_t co_bytes = stats.CoMemoryBytes();
-  return PlannedCoBytes(co_bytes, ratio, sketch_budget_bytes) < co_bytes;
+  return PlannedCoBytes(co_bytes, ratio) < co_bytes;
 }
 
 }  // namespace
@@ -210,12 +202,6 @@ Status TrainSession::Supervise(ColumnSource* source) {
 
 Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
                                      double sketch_ratio) const {
-  return Finalize(memory_budget_bytes, sketch_ratio, /*sketch_budget_bytes=*/0);
-}
-
-Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
-                                     double sketch_ratio,
-                                     size_t sketch_budget_bytes) const {
   if (!supervised_) {
     return Status::Invalid("Finalize needs supervision (run Supervise first)");
   }
@@ -271,13 +257,9 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
     ml.train_coverage = cal.covered_count;
     ml.curve = cal.curve;
     ml.stats = stats_.ForLanguage(ml.lang_id);  // copy, then maybe compress
-    if (ShouldSketch(ml.stats, sketch_ratio, sketch_budget_bytes)) {
+    if (ShouldSketch(ml.stats, sketch_ratio)) {
       const uint64_t seed = 0xadde7ec7 + static_cast<uint64_t>(ml.lang_id);
-      if (sketch_budget_bytes > 0) {
-        AD_RETURN_NOT_OK(ml.stats.CompressToSketchBudget(sketch_budget_bytes, seed));
-      } else {
-        AD_RETURN_NOT_OK(ml.stats.CompressToSketch(sketch_ratio, seed));
-      }
+      AD_RETURN_NOT_OK(ml.stats.CompressToSketch(sketch_ratio, seed));
     }
     model.languages.push_back(std::move(ml));
   }
@@ -293,8 +275,7 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
 }
 
 Result<Model> TrainSession::Finalize() const {
-  return Finalize(options_.memory_budget_bytes, options_.sketch_ratio,
-                  options_.sketch_budget_bytes);
+  return Finalize(options_.memory_budget_bytes, options_.sketch_ratio);
 }
 
 void TrainSession::RecalibrateInPlace(double smoothing_factor) {

@@ -49,13 +49,6 @@ struct TrainOptions {
   /// replaces each selected language's dictionary with a count-min sketch
   /// of r times the size (Sec. 3.4).
   double sketch_ratio = 1.0;
-  /// Absolute variant of the same knob: cap each selected language's
-  /// co-occurrence sketch at this many counter bytes (power-of-two width,
-  /// see CountMinSketch::FromMemoryBudget). 0 = off. Takes precedence over
-  /// sketch_ratio; languages whose exact dictionary is already smaller than
-  /// the planned sketch stay exact, so exact and sketched languages coexist
-  /// in one model. This is the `train --sketch-budget-mb` knob.
-  size_t sketch_budget_bytes = 0;
   /// Human-readable provenance stored in the model.
   std::string corpus_name = "corpus";
 
@@ -106,12 +99,10 @@ class TrainSession {
   /// calibrates candidates in parallel.
   Status Supervise(ColumnSource* source);
 
-  /// \brief Selects languages under `memory_budget_bytes`/`sketch_ratio`/
-  /// `sketch_budget_bytes` (overriding the option defaults) and assembles a
-  /// Model. The knapsack prices sketched candidates at the exact bytes the
-  /// compressor will allocate (see CountMinSketch::PlannedBytes).
-  Result<Model> Finalize(size_t memory_budget_bytes, double sketch_ratio,
-                         size_t sketch_budget_bytes) const;
+  /// \brief Selects languages under `memory_budget_bytes`/`sketch_ratio`
+  /// (overriding the option defaults) and assembles a Model. Candidates are
+  /// priced at their exact bytes; sketching then compresses the chosen
+  /// ensemble.
   Result<Model> Finalize(size_t memory_budget_bytes, double sketch_ratio) const;
   Result<Model> Finalize() const;
 

@@ -29,15 +29,6 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-/// An admission-refused column's report: name echoed, status accurate.
-DetectReport ShedReportFor(const WireColumn& column, const std::string& tag) {
-  DetectReport report;
-  report.name = column.name;
-  report.tag = tag;
-  report.status = ColumnStatus::kShed;
-  return report;
-}
-
 bool CaseInsensitiveContains(std::string_view haystack, std::string_view lower_needle) {
   if (lower_needle.empty()) return true;
   for (size_t i = 0; i + lower_needle.size() <= haystack.size(); ++i) {
@@ -93,9 +84,8 @@ struct Server::Loop {
   std::vector<std::shared_ptr<Conn>> pending;  ///< conns with fresh outbuf/kill
 };
 
-/// Streams ADWIRE1 report frames as the executor delivers columns, mapping
-/// tenant-ticket shedding onto accurate kShed statuses. Thread-safe (called
-/// concurrently from engine workers).
+/// Streams ADWIRE1 report frames as the executor delivers columns.
+/// Thread-safe (called concurrently from engine workers).
 class Server::WireSink : public ReportSink {
  public:
   WireSink(Server* server, std::shared_ptr<Conn> conn, uint64_t request_id)
@@ -118,52 +108,6 @@ class Server::WireSink : public ReportSink {
 };
 
 namespace {
-
-/// Wraps a protocol sink with tenant-admission semantics: when the batch's
-/// ticket is shed mid-flight (a shed-oldest victim), unscanned columns are
-/// cancelled promptly and their statuses rewritten from the cancellation
-/// statuses to the truthful kShed. Thread-safe.
-///
-/// Shed accounting invariant: every kShed report charges exactly one
-/// serve.admission.* counter. Columns the ENGINE shed (its own admission
-/// controller) were already counted there, so this sink only tallies the
-/// columns IT relabeled — the caller charges those, and only those, to the
-/// tenant's controller.
-class TicketSink : public ReportSink {
- public:
-  TicketSink(ReportSink& inner, AdmissionController::Ticket* ticket,
-             CancelSource source)
-      : inner_(inner), ticket_(ticket), source_(std::move(source)) {}
-
-  void OnReport(size_t index, DetectReport&& report) override {
-    if (ticket_ != nullptr && ticket_->shed()) {
-      // First observation of the shed flag: cancel the batch so columns not
-      // yet started stop costing workers, then relabel the cancellations.
-      source_.Cancel();
-      if (report.status == ColumnStatus::kCancelled ||
-          report.status == ColumnStatus::kDeadlineExceeded) {
-        report.status = ColumnStatus::kShed;
-        relabeled_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (report.status == ColumnStatus::kShed) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    inner_.OnReport(index, std::move(report));
-  }
-
-  size_t shed() const { return shed_.load(std::memory_order_relaxed); }
-  size_t relabeled() const {
-    return relabeled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  ReportSink& inner_;
-  AdmissionController::Ticket* ticket_;
-  CancelSource source_;
-  std::atomic<size_t> shed_{0};       ///< all kShed reports seen (return value)
-  std::atomic<size_t> relabeled_{0};  ///< kShed minted here (tenant-charged)
-};
 
 /// Collects reports into index order for the buffered HTTP response.
 /// Disjoint-slot writes; the executor's completion barrier publishes them.
@@ -841,48 +785,16 @@ bool Server::ProcessHttp(Loop& loop, const std::shared_ptr<Conn>& conn) {
   }
 }
 
-size_t Server::RunDetect(const WireRequest& request, const CancelSource& source,
-                         ReportSink& sink) {
+void Server::RunDetect(const WireRequest& request, const CancelSource& source,
+                       ReportSink& sink) {
   const auto start = std::chrono::steady_clock::now();
   metrics_.requests->Add(1);
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
 
-  AdmissionController* controller =
-      options_.tenants == nullptr ? nullptr
-                                  : options_.tenants->ControllerFor(request.tenant);
-  std::shared_ptr<AdmissionController::Ticket> ticket;
-  if (controller != nullptr) {
-    ticket = controller->Admit(request.columns.size());
-    if (ticket == nullptr) {
-      // The tenant is over quota: every column comes back kShed — visible
-      // in the reports AND in serve.admission.tenant.<name>.* — while
-      // other tenants' capacity is untouched.
-      for (size_t i = 0; i < request.columns.size(); ++i) {
-        sink.OnReport(i, ShedReportFor(request.columns[i], request.tag));
-      }
-      controller->CountShedColumns(request.columns.size());
-      metrics_.request_latency_us->Record(ElapsedUs(start));
-      return request.columns.size();
-    }
-  }
-
   std::vector<DetectRequest> batch = ToDetectBatch(request);
   for (auto& r : batch) r.cancel = source.token();
-
-  TicketSink ticketed(sink, ticket.get(), source);
-  executor_->Detect(batch, ticketed);
-
-  if (controller != nullptr) {
-    // Charge the tenant only for columns the ticket sink relabeled; kShed
-    // reports the engine produced were counted by its own controller, and
-    // charging them twice would double every serve.admission.* total.
-    if (ticketed.relabeled() > 0) {
-      controller->CountShedColumns(ticketed.relabeled());
-    }
-    controller->Release(ticket);
-  }
+  executor_->Detect(batch, sink);
   metrics_.request_latency_us->Record(ElapsedUs(start));
-  return ticketed.shed();
 }
 
 void Server::CompleteRequest(const std::shared_ptr<Conn>& conn,

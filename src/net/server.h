@@ -16,7 +16,6 @@
 #include "common/thread_pool.h"
 #include "detect/api.h"
 #include "net/http.h"
-#include "net/tenant.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "serve/lifecycle.h"
@@ -38,11 +37,12 @@
 /// GET /metrics (Prometheus text), GET /healthz.
 ///
 /// Isolation and resilience:
-///  * Per-tenant admission (net/tenant.h): each request's tenant resolves
-///    to its own AdmissionController; an over-quota tenant's batches are
-///    shed — with accurate kShed reports and
-///    serve.admission.tenant.<name>.* counters — while other tenants'
-///    capacity is untouched.
+///  * Per-tenant admission happens inside the executor: a DetectionEngine
+///    built with EngineOptions::tenants resolves each request's tenant
+///    (carried on RequestContext::tenant) to its own AdmissionController,
+///    so an over-quota tenant's batches come back kShed — counted under
+///    serve.admission.tenant.<name>.* — while other tenants' capacity is
+///    untouched. The server itself holds no admission state.
 ///  * Disconnect-as-cancel: every in-flight request holds a CancelSource;
 ///    when the client drops, the server fires it and the engine abandons
 ///    the batch's unscanned columns at the next poll. A dead client stops
@@ -95,9 +95,6 @@ struct ServerOptions {
   uint64_t sweep_interval_ms = 100;  ///< sweeper granularity
   /// Disconnect clients whose unread response backlog passes this.
   size_t max_outbuf_bytes = 64u << 20;
-  /// Per-tenant admission quotas; not owned, may be null (no quotas). Must
-  /// outlive the server.
-  TenantTable* tenants = nullptr;
   /// Registry for serve.net.* metrics and GET /metrics; null = process
   /// default.
   MetricsRegistry* metrics = nullptr;
@@ -192,11 +189,10 @@ class Server {
   void DispatchHttpDetect(std::shared_ptr<Conn> conn, WireRequest request,
                           uint64_t local_id, CancelSource source,
                           bool keep_alive, MemoryBudget::Charge charge);
-  /// Runs one decoded request through tenant admission and the executor,
-  /// streaming every column's report (including admission-shed ones) into
-  /// `sink`. Returns the number of shed columns.
-  size_t RunDetect(const WireRequest& request, const CancelSource& source,
-                   ReportSink& sink);
+  /// Runs one decoded request through the executor, streaming every
+  /// column's report (including admission-shed ones) into `sink`.
+  void RunDetect(const WireRequest& request, const CancelSource& source,
+                 ReportSink& sink);
   /// Finishes one dispatched request: deregisters it and decrements the
   /// drain-visible in-flight count. `final_bytes`, when non-empty, is the
   /// terminal response (batch-done frame / HTTP body) — it is appended

@@ -1,84 +1,3 @@
 #pragma once
-
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <unordered_map>
-#include <vector>
-
-#include "common/result.h"
-#include "obs/metrics.h"
+// TenantTable/TenantSpec live beside AdmissionController in the engine's admission layer.
 #include "serve/resilience.h"
-
-/// \file tenant.h
-/// Per-tenant isolation for the network server. Every wire/HTTP request
-/// names a tenant (RequestContext::tenant; empty = the anonymous tenant),
-/// and the server resolves it here before the batch reaches the engine:
-/// each tenant with a quota gets its own AdmissionController, so one
-/// tenant flooding the server sheds *its own* batches while everyone
-/// else's capacity is untouched. Controllers publish under
-/// "serve.admission.tenant.<name>." (resilience.h metric set), so
-/// per-tenant shed/reject counts are attributable in /metrics alongside
-/// the per-tenant scan counters (detect.tenant.<name>.*).
-///
-/// Quotas are per-tenant *concurrent columns in flight*. A tenant absent
-/// from the table gets the default spec; a cap of 0 means unlimited (no
-/// controller, no tracking cost).
-
-namespace autodetect {
-
-/// One tenant's admission quota.
-struct TenantSpec {
-  /// Concurrent in-flight column cap; 0 = unlimited.
-  size_t queue_cap_columns = 0;
-  AdmissionPolicy policy = AdmissionPolicy::kReject;
-  /// kBlock only: longest an over-quota batch waits for capacity.
-  uint64_t block_timeout_ms = 250;
-};
-
-class TenantTable {
- public:
-  /// \param metrics destination for per-tenant controllers; null = process
-  /// default registry.
-  explicit TenantTable(MetricsRegistry* metrics = nullptr)
-      : metrics_(metrics) {}
-
-  /// Parses the CLI quota spec into this table: comma-separated
-  /// `name=cap[:policy]` entries, policy one of block | shed-oldest |
-  /// reject (default reject). `*` names the default spec applied to
-  /// unlisted tenants, e.g.
-  ///   "acme=512:block,free=64,*=4096:shed-oldest"
-  /// Empty spec = everything unlimited. On error, entries before the bad
-  /// one are already installed; callers treat the table as dead.
-  Status Parse(std::string_view spec);
-
-  /// Installs/overrides one tenant's quota ("*" sets the default).
-  void SetSpec(const std::string& tenant, TenantSpec spec);
-
-  /// The admission controller enforcing `tenant`'s quota, created lazily on
-  /// first use; null when the tenant is unlimited. The pointer stays valid
-  /// for the table's lifetime. Thread-safe. The anonymous tenant ("") is a
-  /// tenant like any other and falls under the default spec.
-  AdmissionController* ControllerFor(const std::string& tenant);
-
-  /// The spec `tenant` resolves to (explicit entry or default).
-  TenantSpec SpecFor(const std::string& tenant) const;
-
-  /// Tenants with explicit entries (for startup logging).
-  std::vector<std::string> ConfiguredTenants() const;
-
- private:
-  /// Metric-safe tenant label: dots would splice into the metric-name
-  /// hierarchy, so they are mapped to '_'.
-  static std::string MetricLabel(const std::string& tenant);
-
-  MetricsRegistry* metrics_;
-  mutable std::mutex mu_;
-  TenantSpec default_spec_;  ///< unlimited unless the spec listed "*"
-  std::unordered_map<std::string, TenantSpec> specs_;
-  std::unordered_map<std::string, std::unique_ptr<AdmissionController>>
-      controllers_;
-};
-
-}  // namespace autodetect

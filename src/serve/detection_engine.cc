@@ -15,15 +15,14 @@ namespace autodetect {
 
 namespace {
 
-/// The engine owns the wiring: a null detector.metrics (or admission
-/// metrics) inherits the engine's registry so one `metrics` field redirects
-/// the whole stack.
+/// Pair-cache shards per snapshot.
+constexpr size_t kCacheShards = 16;
+
+/// The engine owns the wiring: a null detector.metrics inherits the
+/// engine's registry so one `metrics` field redirects the whole stack.
 EngineOptions NormalizeOptions(EngineOptions options) {
   if (options.detector.metrics == nullptr) {
     options.detector.metrics = options.metrics;
-  }
-  if (options.admission.metrics == nullptr) {
-    options.admission.metrics = options.metrics;
   }
   return options;
 }
@@ -55,7 +54,7 @@ DetectionEngine::Snapshot::Snapshot(std::shared_ptr<const Model> model_in,
   if (options.cache_bytes > 0) {
     PairCacheOptions cache_opts;
     cache_opts.capacity_bytes = options.cache_bytes;
-    cache_opts.num_shards = options.cache_shards;
+    cache_opts.num_shards = kCacheShards;
     cache = std::make_unique<ShardedPairCache>(cache_opts);
   }
 }
@@ -78,9 +77,6 @@ DetectionEngine::DetectionEngine(const Model* model, EngineOptions options)
 }
 
 void DetectionEngine::InitCommon() {
-  if (options_.admission.queue_cap_columns > 0) {
-    admission_ = std::make_unique<AdmissionController>(options_.admission);
-  }
   metrics_.batches = registry_->GetCounter("serve.batches_total");
   metrics_.columns = registry_->GetCounter("serve.columns_total");
   metrics_.worker_busy_us = registry_->GetCounter("serve.worker_busy_us_total");
@@ -174,17 +170,22 @@ void DetectionEngine::Detect(const std::vector<DetectRequest>& batch,
                              ReportSink& sink) {
   if (batch.empty()) return;
 
-  // Admission first: a rejected batch (kReject over capacity, kBlock
-  // timeout) needs no snapshot and no workers — every column comes back
-  // kShed, visibly, and the rejection shows up in serve.admission.*.
+  // Admission first, charged to the tenant of the batch's first request: a
+  // rejected batch (kReject over quota, kBlock timeout) needs no snapshot
+  // and no workers — every column comes back kShed, visibly, and the
+  // rejection shows up in serve.admission.tenant.<name>.*.
+  AdmissionController* const admission =
+      options_.tenants == nullptr
+          ? nullptr
+          : options_.tenants->ControllerFor(batch.front().context.tenant);
   std::shared_ptr<AdmissionController::Ticket> ticket;
-  if (admission_ != nullptr) {
-    ticket = admission_->Admit(batch.size());
+  if (admission != nullptr) {
+    ticket = admission->Admit(batch.size());
     if (ticket == nullptr) {
       for (size_t i = 0; i < batch.size(); ++i) {
         sink.OnReport(i, MakeShedReport(batch[i]));
       }
-      admission_->CountShedColumns(batch.size());
+      admission->CountShedColumns(batch.size());
       return;
     }
   }
@@ -277,9 +278,9 @@ void DetectionEngine::Detect(const std::vector<DetectRequest>& batch,
     state.done.wait(lock, [&state] { return state.remaining == 0; });
   }
 
-  if (admission_ != nullptr) {
-    admission_->CountShedColumns(state.shed.load(std::memory_order_relaxed));
-    admission_->Release(ticket);
+  if (admission != nullptr) {
+    admission->CountShedColumns(state.shed.load(std::memory_order_relaxed));
+    admission->Release(ticket);
   }
 
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -298,7 +299,6 @@ EngineStats DetectionEngine::Stats() const {
   EngineStats stats;
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.columns = columns_.load(std::memory_order_relaxed);
-  if (admission_ != nullptr) stats.admission = admission_->Stats();
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   if (snapshot_ != nullptr && snapshot_->cache != nullptr) {
     stats.cache = snapshot_->cache->Stats();

@@ -50,6 +50,12 @@
 /// batches share the pool and scratch pool, and may share or not share a
 /// snapshot depending on reload timing.
 ///
+/// Admission: the engine is the one admission gate. With
+/// EngineOptions::tenants set, each batch passes its tenant's
+/// AdmissionController (serve/resilience.h) before it touches a snapshot; a
+/// refused batch comes back all kShed, and a shed-oldest victim returns its
+/// unstarted columns kShed while columns already scanning finish.
+///
 /// Observability: the engine records serve.* metrics (batch counts/latency,
 /// dispatch overhead, queue depth, worker busy time) and registers a
 /// collector that publishes serve.cache.* gauges from the current
@@ -62,17 +68,16 @@ struct EngineOptions {
   size_t num_threads = 0;  ///< worker count; 0 = hardware concurrency
   /// Per-snapshot pair-cache budget; 0 disables caching entirely.
   size_t cache_bytes = 32ull << 20;
-  size_t cache_shards = 16;
   DetectorOptions detector;
   /// Deadline applied to every batch whose requests carry no token of their
   /// own (one CancelSource per batch, its token copied into each column).
   /// 0 = none. Requests with an active token keep it — per-request budgets
   /// override the engine default.
   uint64_t default_deadline_ms = 0;
-  /// Admission control in front of the engine; queue_cap_columns == 0 (the
-  /// default) disables it. The admission registry inherits `metrics` below
-  /// when its own is null.
-  AdmissionOptions admission;
+  /// Per-tenant admission quotas; not owned, null means no quotas. Must
+  /// outlive the engine. A batch is charged to the tenant of its first
+  /// request (server batches are single-tenant by construction).
+  TenantTable* tenants = nullptr;
   /// Metrics destination; null means the process default registry. Also
   /// fills detector.metrics when that is null, so one field wires the whole
   /// engine to a private registry (as the benches do).
@@ -83,8 +88,7 @@ struct EngineOptions {
 struct EngineStats {
   uint64_t batches = 0;
   uint64_t columns = 0;
-  PairCacheStats cache;       ///< current snapshot's cache; zeros when disabled
-  AdmissionStats admission;   ///< zeros when admission control is disabled
+  PairCacheStats cache;  ///< current snapshot's cache; zeros when disabled
 };
 
 class DetectionEngine : public DetectionExecutor {
@@ -121,12 +125,6 @@ class DetectionEngine : public DetectionExecutor {
   /// load). The returned shared_ptr keeps the snapshot alive.
   std::shared_ptr<const Model> model() const { return provider_->Snapshot(); }
   const EngineOptions& options() const { return options_; }
-  /// \brief The admission controller, null when admission control is
-  /// disabled (queue_cap_columns == 0).
-  const AdmissionController* admission() const { return admission_.get(); }
-  /// \brief Mutable access for harnesses that pin occupancy (tests holding
-  /// capacity via Admit to force deterministic shedding).
-  AdmissionController* mutable_admission() { return admission_.get(); }
 
  private:
   /// Engine-level metric handles, resolved once at construction.
@@ -166,7 +164,6 @@ class DetectionEngine : public DetectionExecutor {
   std::unique_ptr<FixedModel> owned_provider_;  ///< raw-model ctor only
   ModelProvider* provider_;
   EngineOptions options_;
-  std::unique_ptr<AdmissionController> admission_;  ///< null when disabled
   ThreadPool pool_;
 
   MetricsRegistry* registry_;

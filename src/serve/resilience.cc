@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace autodetect {
+
+namespace {
+
+/// Longest an over-quota kBlock batch waits for its tenant's capacity.
+constexpr uint64_t kTenantBlockTimeoutMs = 250;
+
+}  // namespace
 
 std::string_view AdmissionPolicyName(AdmissionPolicy policy) {
   switch (policy) {
@@ -134,6 +143,104 @@ AdmissionStats AdmissionController::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   stats.inflight_columns = LiveColumnsLocked();
   return stats;
+}
+
+Status TenantTable::Parse(std::string_view spec) {
+  size_t pos = 0;
+  while (pos <= spec.size()) {
+    size_t comma = spec.find(',', pos);
+    std::string_view entry = spec.substr(
+        pos, comma == std::string_view::npos ? spec.size() - pos : comma - pos);
+    pos = comma == std::string_view::npos ? spec.size() + 1 : comma + 1;
+    if (entry.empty()) continue;
+
+    size_t eq = entry.find('=');
+    if (eq == std::string_view::npos || eq == 0) {
+      return Status::Invalid(StrFormat(
+          "tenant spec entry '%.*s' is not name=cap[:policy]",
+          static_cast<int>(entry.size()), entry.data()));
+    }
+    std::string name(entry.substr(0, eq));
+    std::string_view rest = entry.substr(eq + 1);
+    std::string_view cap_str = rest;
+    TenantSpec tenant_spec;
+    size_t colon = rest.find(':');
+    if (colon != std::string_view::npos) {
+      cap_str = rest.substr(0, colon);
+      AD_ASSIGN_OR_RETURN(tenant_spec.policy,
+                          ParseAdmissionPolicy(rest.substr(colon + 1)));
+    }
+    char* end = nullptr;
+    std::string cap_token(cap_str);
+    unsigned long long cap = std::strtoull(cap_token.c_str(), &end, 10);
+    if (cap_token.empty() || end != cap_token.c_str() + cap_token.size()) {
+      return Status::Invalid(StrFormat(
+          "tenant spec entry '%.*s' has a malformed column cap",
+          static_cast<int>(entry.size()), entry.data()));
+    }
+    tenant_spec.queue_cap_columns = static_cast<size_t>(cap);
+    SetSpec(name, tenant_spec);
+  }
+  return Status::OK();
+}
+
+void TenantTable::SetSpec(const std::string& tenant, TenantSpec spec) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (tenant == "*") {
+    default_spec_ = spec;
+  } else {
+    specs_[tenant] = spec;
+  }
+  // Quotas are fixed once a controller exists; dropping it here lets a
+  // re-SetSpec before first use take effect (the server configures the
+  // table before accepting connections).
+  controllers_.erase(tenant);
+}
+
+TenantSpec TenantTable::SpecFor(const std::string& tenant) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = specs_.find(tenant);
+  return it == specs_.end() ? default_spec_ : it->second;
+}
+
+std::string TenantTable::MetricLabel(const std::string& tenant) {
+  if (tenant.empty()) return "anonymous";
+  std::string label = tenant;
+  for (char& c : label) {
+    if (c == '.' || c == ' ') c = '_';
+  }
+  return label;
+}
+
+AdmissionController* TenantTable::ControllerFor(const std::string& tenant) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto existing = controllers_.find(tenant);
+  if (existing != controllers_.end()) return existing->second.get();
+
+  auto spec_it = specs_.find(tenant);
+  const TenantSpec& spec =
+      spec_it == specs_.end() ? default_spec_ : spec_it->second;
+  if (spec.queue_cap_columns == 0) return nullptr;  // unlimited
+
+  AdmissionOptions options;
+  options.queue_cap_columns = spec.queue_cap_columns;
+  options.policy = spec.policy;
+  options.block_timeout_ms = kTenantBlockTimeoutMs;
+  options.metrics = metrics_;
+  options.metric_prefix =
+      "serve.admission.tenant." + MetricLabel(tenant) + ".";
+  auto controller = std::make_unique<AdmissionController>(std::move(options));
+  AdmissionController* raw = controller.get();
+  controllers_.emplace(tenant, std::move(controller));
+  return raw;
+}
+
+std::vector<std::string> TenantTable::ConfiguredTenants() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> names;
+  names.reserve(specs_.size());
+  for (const auto& [name, spec] : specs_) names.push_back(name);
+  return names;
 }
 
 }  // namespace autodetect

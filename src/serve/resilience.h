@@ -9,19 +9,21 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "obs/metrics.h"
 
 /// \file resilience.h
-/// Admission control for the serving layer: the component that stands
-/// between callers and the DetectionEngine and decides, per batch, whether
-/// the engine should take on more work. Without it, overload has exactly one
-/// behaviour — every caller blocks while the worker pool grinds through an
-/// unbounded backlog; with it, overload degrades by policy:
+/// Admission control for the serving layer: the component inside the
+/// DetectionEngine that decides, per batch, whether the engine should take
+/// on more work. Without it, overload has exactly one behaviour — every
+/// caller blocks while the worker pool grinds through an unbounded backlog;
+/// with it, overload degrades by policy:
 ///
 ///   kBlock      callers wait for capacity up to a timeout, then the batch
-///               is rejected (backpressure with a bound — the default).
+///               is rejected (backpressure with a bound).
 ///   kShedOldest the newest batch is admitted immediately and the oldest
 ///               in-flight batches are marked shed; their remaining columns
 ///               return ColumnStatus::kShed without being scanned, freeing
@@ -40,15 +42,20 @@
 /// already being scanned finish (their scratch stays valid); unstarted ones
 /// return immediately with an accurate status. Nothing is ever dropped
 /// silently — a shed column is visible in its report AND in the
-/// serve.admission.* counters.
+/// serve.admission.tenant.<name>.* counters.
 ///
-/// Metrics (into the registry passed in options):
-///   serve.admission.admitted_total       batches admitted
-///   serve.admission.rejected_total       batches refused (reject/timeout)
-///   serve.admission.shed_columns_total   columns returned kShed
-///   serve.admission.block_timeouts_total kBlock waits that hit the timeout
-///   serve.admission.queue_wait_us        histogram of admission wait time
-///   serve.admission.inflight_columns     gauge of admitted, unreleased work
+/// Quotas are per tenant (RequestContext::tenant; empty = the anonymous
+/// tenant): a TenantTable maps each tenant to its own AdmissionController,
+/// so one tenant flooding the engine sheds *its own* batches while everyone
+/// else's capacity is untouched.
+///
+/// Metrics (per controller, under its metric_prefix):
+///   admitted_total       batches admitted
+///   rejected_total       batches refused (reject/timeout)
+///   shed_columns_total   columns returned kShed
+///   block_timeouts_total kBlock waits that hit the timeout
+///   queue_wait_us        histogram of admission wait time
+///   inflight_columns     gauge of admitted, unreleased work
 
 namespace autodetect {
 
@@ -72,8 +79,7 @@ struct AdmissionOptions {
   uint64_t block_timeout_ms = 1000;
   /// Metrics destination; null means the process default registry.
   MetricsRegistry* metrics = nullptr;
-  /// Metric-name prefix, must end with '.'. The engine-global controller
-  /// keeps the default; the network server's per-tenant controllers use
+  /// Metric-name prefix, must end with '.'. TenantTable sets
   /// "serve.admission.tenant.<name>." so shed/reject counts are
   /// attributable per tenant.
   std::string metric_prefix = "serve.admission.";
@@ -152,6 +158,63 @@ class AdmissionController {
     Gauge* inflight_columns = nullptr;
   };
   Metrics metrics_;
+};
+
+/// One tenant's admission quota.
+struct TenantSpec {
+  /// Concurrent in-flight column cap; 0 = unlimited.
+  size_t queue_cap_columns = 0;
+  AdmissionPolicy policy = AdmissionPolicy::kReject;
+};
+
+/// Per-tenant quotas: each tenant with a cap gets its own
+/// AdmissionController, publishing under "serve.admission.tenant.<name>."
+/// beside the per-tenant scan counters (detect.tenant.<name>.*). A tenant
+/// absent from the table gets the default spec; a cap of 0 means unlimited
+/// (no controller, no tracking cost). Under kBlock an over-quota batch
+/// waits at most 250 ms for capacity.
+class TenantTable {
+ public:
+  /// \param metrics destination for per-tenant controllers; null = process
+  /// default registry.
+  explicit TenantTable(MetricsRegistry* metrics = nullptr)
+      : metrics_(metrics) {}
+
+  /// Parses the CLI quota spec into this table: comma-separated
+  /// `name=cap[:policy]` entries, policy one of block | shed-oldest |
+  /// reject (default reject). `*` names the default spec applied to
+  /// unlisted tenants, e.g.
+  ///   "acme=512:block,free=64,*=4096:shed-oldest"
+  /// Empty spec = everything unlimited. On error, entries before the bad
+  /// one are already installed; callers treat the table as dead.
+  Status Parse(std::string_view spec);
+
+  /// Installs/overrides one tenant's quota ("*" sets the default).
+  void SetSpec(const std::string& tenant, TenantSpec spec);
+
+  /// The admission controller enforcing `tenant`'s quota, created lazily on
+  /// first use; null when the tenant is unlimited. The pointer stays valid
+  /// for the table's lifetime. Thread-safe. The anonymous tenant ("") is a
+  /// tenant like any other and falls under the default spec.
+  AdmissionController* ControllerFor(const std::string& tenant);
+
+  /// The spec `tenant` resolves to (explicit entry or default).
+  TenantSpec SpecFor(const std::string& tenant) const;
+
+  /// Tenants with explicit entries (for startup logging).
+  std::vector<std::string> ConfiguredTenants() const;
+
+ private:
+  /// Metric-safe tenant label: dots would splice into the metric-name
+  /// hierarchy, so they are mapped to '_'.
+  static std::string MetricLabel(const std::string& tenant);
+
+  MetricsRegistry* metrics_;
+  mutable std::mutex mu_;
+  TenantSpec default_spec_;  ///< unlimited unless the spec listed "*"
+  std::unordered_map<std::string, TenantSpec> specs_;
+  std::unordered_map<std::string, std::unique_ptr<AdmissionController>>
+      controllers_;
 };
 
 }  // namespace autodetect

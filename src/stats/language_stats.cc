@@ -100,29 +100,6 @@ Status LanguageStats::CompressToSketch(double ratio, uint64_t seed) {
   return CompressImpl(budget, seed);
 }
 
-Status LanguageStats::CompressToSketchBudget(size_t budget_bytes, uint64_t seed) {
-  if (budget_bytes == 0) return Status::Invalid("sketch budget must be nonzero");
-  return CompressImpl(budget_bytes, seed);
-}
-
-void LanguageStats::ForEachCoCount(
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  if (frozen_) {
-    co_view_.ForEach(fn);
-  } else {
-    co_counts_.ForEach(fn);
-  }
-}
-
-void LanguageStats::ForEachCount(
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  if (frozen_) {
-    counts_view_.ForEach(fn);
-  } else {
-    counts_.ForEach(fn);
-  }
-}
-
 void LanguageStats::Merge(const LanguageStats& other) {
   AD_CHECK(!frozen_ && !other.frozen_);
   AD_CHECK(!sketch_.has_value() && !other.sketch_.has_value());

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -73,11 +72,6 @@ class LanguageStats {
   /// paper describes.
   Status CompressToSketch(double ratio, uint64_t seed = 0xc0ffee);
 
-  /// \brief Same compression, but sized by an absolute byte budget: the
-  /// sketch holds at most `budget_bytes` of counters (width rounded down to
-  /// a power of two, depth 4). This is the `train --sketch-budget-mb` path.
-  Status CompressToSketchBudget(size_t budget_bytes, uint64_t seed = 0xc0ffee);
-
   bool uses_sketch() const { return sketch_.has_value() || sketch_external_; }
 
   /// True when the co-occurrence sketch lives outside this blob (in the
@@ -92,13 +86,6 @@ class LanguageStats {
   /// Sketch geometry, 0 when not sketched (for metrics / `info`).
   size_t SketchWidth() const;
   size_t SketchDepth() const;
-
-  /// Iterates exact co-counts (unavailable after sketch compression).
-  void ForEachCoCount(
-      const std::function<void(uint64_t pair_key, uint64_t count)>& fn) const;
-
-  /// Iterates c(p) entries.
-  void ForEachCount(const std::function<void(uint64_t key, uint64_t count)>& fn) const;
 
   /// \brief Merges another shard built over a disjoint set of columns.
   void Merge(const LanguageStats& other);

@@ -42,7 +42,9 @@ TEST(MemoryBudgetTest, PerRequestCapRejectsTyped) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsResourceExhausted());
   EXPECT_EQ(budget.rejected_total(), 1u);
-  EXPECT_EQ(metrics.GetCounter("serve.mem.rejected_total")->Value(), 1u);
+  if (kMetricsEnabled) {
+    EXPECT_EQ(metrics.GetCounter("serve.mem.rejected_total")->Value(), 1u);
+  }
 
   auto admitted = budget.Admit(60);
   ASSERT_TRUE(admitted.ok());
@@ -122,7 +124,9 @@ TEST(HealthLadderTest, SeverityOrderingAndRecovery) {
   ladder.SetCondition("worker-wedged", true);
   EXPECT_EQ(ladder.state(), HealthState::kDegraded);
   EXPECT_TRUE(ladder.Serving());  // degraded still serves
-  EXPECT_EQ(metrics.GetGauge("serve.health.state")->Value(), 1.0);
+  if (kMetricsEnabled) {
+    EXPECT_EQ(metrics.GetGauge("serve.health.state")->Value(), 1.0);
+  }
 
   ladder.SetUnhealthyCondition("acceptor-stalled", true);
   EXPECT_EQ(ladder.state(), HealthState::kUnhealthy);
@@ -244,8 +248,10 @@ TEST(CircuitBreakerTest, TripsAfterThresholdAndRefusesWhileOpen) {
   EXPECT_EQ(breaker.open_total(), 1u);
   EXPECT_EQ(ladder.state(), HealthState::kDegraded);
   EXPECT_FALSE(breaker.Allow());  // refused inside the window
-  EXPECT_GE(metrics.GetCounter("serve.breaker.reload.rejected_total")->Value(),
-            1u);
+  if (kMetricsEnabled) {
+    EXPECT_GE(metrics.GetCounter("serve.breaker.reload.rejected_total")->Value(),
+              1u);
+  }
   // The jittered window lands in [base/2, base].
   EXPECT_GE(breaker.open_window_ms(), 10u);
   EXPECT_LE(breaker.open_window_ms(), 20u);
@@ -323,14 +329,18 @@ TEST(CircuitBreakerTest, RegistryReloadRefusedWhileOpen) {
     EXPECT_FALSE(registry.Reload("/nonexistent/model.bin").ok());
   }
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(metrics.GetCounter("model.reload.errors_total")->Value(),
-            errors_before + 3);
+  if (kMetricsEnabled) {
+    EXPECT_EQ(metrics.GetCounter("model.reload.errors_total")->Value(),
+              errors_before + 3);
+  }
   // ...after which Reload is refused without touching the disk: typed
   // kResourceExhausted, and errors_total does NOT advance.
   Status refused = registry.Reload("/nonexistent/model.bin");
   EXPECT_TRUE(refused.IsResourceExhausted());
-  EXPECT_EQ(metrics.GetCounter("model.reload.errors_total")->Value(),
-            errors_before + 3);
+  if (kMetricsEnabled) {
+    EXPECT_EQ(metrics.GetCounter("model.reload.errors_total")->Value(),
+              errors_before + 3);
+  }
 }
 
 }  // namespace

@@ -30,11 +30,11 @@
 #include "net/http.h"
 #include "net/json.h"
 #include "net/server.h"
-#include "net/tenant.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "serve/detection_engine.h"
 #include "serve/lifecycle.h"
+#include "serve/resilience.h"
 
 namespace autodetect {
 namespace {
@@ -900,17 +900,17 @@ TEST_F(NetFixture, DeadlineBoundsBatchLatency) {
 
 TEST_F(NetFixture, TenantQuotaShedsOnlyTheOffender) {
   MetricsRegistry registry;
-  EngineOptions opts;
-  opts.metrics = &registry;
-  DetectionEngine engine(model_, opts);
-
   TenantTable tenants(&registry);
   // "flood" may hold at most 4 columns in flight; everyone else unlimited.
   ASSERT_TRUE(tenants.Parse("flood=4:reject").ok());
 
+  EngineOptions opts;
+  opts.metrics = &registry;
+  opts.tenants = &tenants;
+  DetectionEngine engine(model_, opts);
+
   ServerOptions server_opts;
   server_opts.metrics = &registry;
-  server_opts.tenants = &tenants;
   Server server(&engine, server_opts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1220,72 +1220,16 @@ TEST_F(NetFixture, DrainCompletesInflightRefusesNewAndFlipsHealthz) {
   server.Stop();
 }
 
-TEST_F(NetFixture, EngineShedDoesNotDoubleChargeTenantCounters) {
-  MetricsRegistry registry;
-  // Engine-level admission with a 2-column cap: a 5-column batch is shed by
-  // the ENGINE's controller (counted under serve.admission.*), while the
-  // tenant stays far under its own quota.
-  EngineOptions opts;
-  opts.metrics = &registry;
-  opts.admission.queue_cap_columns = 2;
-  opts.admission.policy = AdmissionPolicy::kReject;
-  DetectionEngine engine(model_, opts);
-  // An empty queue admits even oversized batches (anti-starvation), so pin
-  // occupancy at the cap to make the engine shed deterministically.
-  ASSERT_NE(engine.mutable_admission(), nullptr);
-  auto pinned = engine.mutable_admission()->Admit(2);
-  ASSERT_NE(pinned, nullptr);
-
-  TenantTable tenants(&registry);
-  ASSERT_TRUE(tenants.Parse("calm=1000:reject").ok());
-  ServerOptions server_opts;
-  server_opts.metrics = &registry;
-  server_opts.tenants = &tenants;
-  Server server(&engine, server_opts);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto client = WireClient::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-  WireRequest request = SmallBatch(70, "calm");
-  ASSERT_TRUE(client->SendRequest(request).ok());
-  auto batch = client->ReadBatch(70);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_TRUE(batch->done);
-  ASSERT_EQ(batch->reports.size(), 5u);
-  size_t shed_reports = 0;
-  for (const WireReport& report : batch->reports) {
-    if (report.report.status == ColumnStatus::kShed) ++shed_reports;
-  }
-  EXPECT_EQ(shed_reports, 5u);
-
-  if (kMetricsEnabled) {
-    MetricsSnapshot snap = registry.Snapshot();
-    // The invariant under test: every kShed report charged EXACTLY ONE
-    // serve.admission.* counter — the engine's, which shed the columns.
-    EXPECT_EQ(snap.counters.at("serve.admission.shed_columns_total"),
-              shed_reports);
-    // The tenant's controller admitted the batch and never shed a column;
-    // charging it too (the old behaviour) would double every total. The
-    // counters are registered at construction, so they exist — at zero.
-    EXPECT_EQ(snap.counters.at("serve.admission.tenant.calm.shed_columns_total"),
-              0u);
-    EXPECT_EQ(snap.counters.at("serve.admission.tenant.calm.rejected_total"),
-              0u);
-  }
-  engine.mutable_admission()->Release(pinned);
-  server.Stop();
-}
-
 TEST_F(NetFixture, TenantShedChargesExactlyOnce) {
   MetricsRegistry registry;
-  EngineOptions opts;
-  opts.metrics = &registry;
-  DetectionEngine engine(model_, opts);
   TenantTable tenants(&registry);
   ASSERT_TRUE(tenants.Parse("flood=4:reject").ok());
+  EngineOptions opts;
+  opts.metrics = &registry;
+  opts.tenants = &tenants;
+  DetectionEngine engine(model_, opts);
   ServerOptions server_opts;
   server_opts.metrics = &registry;
-  server_opts.tenants = &tenants;
   Server server(&engine, server_opts);
   ASSERT_TRUE(server.Start().ok());
 

@@ -336,7 +336,6 @@ TEST_F(ResilienceFixture, DefaultConfigEveryStatusOk) {
   for (const auto& report : reports) {
     EXPECT_EQ(report.status, ColumnStatus::kOk) << report.name;
   }
-  EXPECT_EQ(engine.Stats().admission.admitted, 0u);  // admission disabled
 }
 
 TEST_F(ResilienceFixture, PreCancelledTokenYieldsEmptyCancelledReports) {
@@ -468,6 +467,38 @@ TEST_F(ResilienceFixture, CancelledBatchNeverTouchesFreedScratch) {
   }
 }
 
+TEST_F(ResilienceFixture, HeldQuotaShedsBatchUntilReleased) {
+  // Default build, no failpoint: holding the anonymous tenant's whole quota
+  // makes the engine refuse the next batch deterministically.
+  MetricsRegistry registry;
+  TenantTable tenants(&registry);
+  ASSERT_TRUE(tenants.Parse("*=4:reject").ok());
+  EngineOptions options;
+  options.num_threads = 2;
+  options.metrics = &registry;
+  options.tenants = &tenants;
+  DetectionEngine engine(model_, options);
+  AdmissionController* controller = tenants.ControllerFor("");
+  ASSERT_NE(controller, nullptr);
+  auto held = controller->Admit(4);
+  ASSERT_NE(held, nullptr);
+
+  std::vector<DetectRequest> batch = MakeBatch(2);
+  for (const auto& report : engine.Detect(batch)) {
+    EXPECT_EQ(report.status, ColumnStatus::kShed);
+    EXPECT_TRUE(report.column.cells.empty());
+  }
+  AdmissionStats stats = controller->Stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.shed_columns, batch.size());
+
+  controller->Release(held);
+  for (const auto& report : engine.Detect(batch)) {
+    EXPECT_EQ(report.status, ColumnStatus::kOk) << report.name;
+  }
+  EXPECT_EQ(controller->Stats().inflight_columns, 0u);
+}
+
 TEST_F(ResilienceFixture, RejectedBatchShedsEveryColumn) {
   if (!kFailpointsEnabled) {
     GTEST_SKIP() << "needs the serve.worker.slow failpoint (chaos build)";
@@ -475,11 +506,16 @@ TEST_F(ResilienceFixture, RejectedBatchShedsEveryColumn) {
   // One slow worker thread + an over-cap second batch: deterministic
   // rejection without sleeping-and-hoping on scheduler timing.
   ScopedFailpoint slow("serve.worker.slow");
+  MetricsRegistry registry;
+  TenantTable tenants(&registry);
+  ASSERT_TRUE(tenants.Parse("*=4:reject").ok());
   EngineOptions options;
   options.num_threads = 1;
-  options.admission.queue_cap_columns = 4;
-  options.admission.policy = AdmissionPolicy::kReject;
+  options.metrics = &registry;
+  options.tenants = &tenants;
   DetectionEngine engine(model_, options);
+  AdmissionController* controller = tenants.ControllerFor("");
+  ASSERT_NE(controller, nullptr);
 
   std::vector<DetectRequest> first = MakeBatch(2);   // 4 columns, admitted
   std::vector<DetectRequest> second = MakeBatch(1);  // rejected while busy
@@ -492,7 +528,7 @@ TEST_F(ResilienceFixture, RejectedBatchShedsEveryColumn) {
       EXPECT_EQ(report.status, ColumnStatus::kOk);
     }
   });
-  while (!first_started.load() || engine.Stats().admission.inflight_columns == 0) {
+  while (!first_started.load() || controller->Stats().inflight_columns == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::vector<DetectReport> rejected = engine.Detect(second);
@@ -501,9 +537,9 @@ TEST_F(ResilienceFixture, RejectedBatchShedsEveryColumn) {
     EXPECT_EQ(report.status, ColumnStatus::kShed);
     EXPECT_TRUE(report.column.cells.empty());
   }
-  EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.admission.rejected, 1u);
-  EXPECT_EQ(stats.admission.shed_columns, second.size());
+  AdmissionStats stats = controller->Stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.shed_columns, second.size());
 }
 
 TEST_F(ResilienceFixture, ShedOldestVictimColumnsReportShed) {
@@ -511,18 +547,23 @@ TEST_F(ResilienceFixture, ShedOldestVictimColumnsReportShed) {
     GTEST_SKIP() << "needs the serve.worker.slow failpoint (chaos build)";
   }
   ScopedFailpoint slow("serve.worker.slow");
+  MetricsRegistry registry;
+  TenantTable tenants(&registry);
+  ASSERT_TRUE(tenants.Parse("*=4:shed-oldest").ok());
   EngineOptions options;
   options.num_threads = 1;
-  options.admission.queue_cap_columns = 4;
-  options.admission.policy = AdmissionPolicy::kShedOldest;
+  options.metrics = &registry;
+  options.tenants = &tenants;
   DetectionEngine engine(model_, options);
+  AdmissionController* controller = tenants.ControllerFor("");
+  ASSERT_NE(controller, nullptr);
 
   std::vector<DetectRequest> first = MakeBatch(2);   // 4 columns
   std::vector<DetectRequest> second = MakeBatch(1);  // 3 columns, sheds first
   std::vector<DetectReport> first_reports;
 
   std::thread runner([&] { first_reports = engine.Detect(first); });
-  while (engine.Stats().admission.inflight_columns == 0) {
+  while (controller->Stats().inflight_columns == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::vector<DetectReport> second_reports = engine.Detect(second);
@@ -541,8 +582,8 @@ TEST_F(ResilienceFixture, ShedOldestVictimColumnsReportShed) {
     }
   }
   EXPECT_GT(shed, 0u);
-  EXPECT_EQ(engine.Stats().admission.shed_columns, shed);
-  EXPECT_EQ(engine.Stats().admission.rejected, 0u);  // shed-oldest never rejects
+  EXPECT_EQ(controller->Stats().shed_columns, shed);
+  EXPECT_EQ(controller->Stats().rejected, 0u);  // shed-oldest never rejects
 }
 
 TEST_F(ResilienceFixture, WatcherRetriesFailedReloadWithBackoff) {

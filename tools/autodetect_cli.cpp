@@ -41,7 +41,6 @@
 #include "flag_set.h"
 #include "io/csv.h"
 #include "net/server.h"
-#include "net/tenant.h"
 #include "obs/dump.h"
 #include "serve/detection_engine.h"
 #include "train/shard.h"
@@ -144,7 +143,6 @@ int CmdTrain(int argc, char** argv) {
   std::string profile_name = "WEB", out = "autodetect.model";
   std::string from_stats;
   int64_t columns = 30000, seed = 20180610, budget_mb = 64;
-  int64_t sketch_budget_mb = 0;
   double precision = 0.95, sketch = 1.0, smoothing = 0.1;
   int64_t jobs = 0;
   MetricsFlags metrics;
@@ -160,9 +158,6 @@ int CmdTrain(int argc, char** argv) {
   flags.Int("budget-mb", &budget_mb, "model memory budget");
   flags.Double("precision", &precision, "precision target");
   flags.Double("sketch", &sketch, "co-occurrence sketch ratio (0,1]");
-  flags.Int("sketch-budget-mb", &sketch_budget_mb,
-            "cap each language's co-occurrence sketch at this many MB "
-            "(0 = off; mutually exclusive with --sketch)");
   flags.Double("smoothing", &smoothing, "NPMI smoothing factor");
   flags.Int("jobs", &jobs, "worker threads (0 = all cores)");
   flags.String("out", &out, "model output path");
@@ -172,20 +167,10 @@ int CmdTrain(int argc, char** argv) {
     return rc;
   }
 
-  if (sketch_budget_mb < 0) {
-    return Fail(Status::Invalid("--sketch-budget-mb must be >= 0"));
-  }
-  if (sketch_budget_mb > 0 && sketch < 1.0) {
-    return Fail(Status::Invalid(
-        "--sketch and --sketch-budget-mb are mutually exclusive (pick the "
-        "relative ratio or the absolute per-language cap)"));
-  }
-
   TrainOptions train;
   train.precision_target = precision;
   train.memory_budget_bytes = static_cast<size_t>(budget_mb) << 20;
   train.sketch_ratio = sketch;
-  train.sketch_budget_bytes = static_cast<size_t>(sketch_budget_mb) << 20;
   train.smoothing_factor = smoothing;
   train.num_threads = static_cast<size_t>(jobs);
 
@@ -345,7 +330,6 @@ int CmdRetrain(int argc, char** argv) {
   std::string model_path, stats_path, out;
   std::vector<std::string> add_shards;
   int64_t budget_mb = 64;
-  int64_t sketch_budget_mb = 0;
   double sketch = 1.0;
   int64_t jobs = 0;
 
@@ -360,8 +344,6 @@ int CmdRetrain(int argc, char** argv) {
                    "extend the base statistics contiguously");
   flags.Int("budget-mb", &budget_mb, "model memory budget");
   flags.Double("sketch", &sketch, "co-occurrence sketch ratio (0,1]");
-  flags.Int("sketch-budget-mb", &sketch_budget_mb,
-            "cap each language's co-occurrence sketch at this many MB (0 = off)");
   flags.Int("jobs", &jobs, "worker threads (0 = all cores)");
   flags.String("out", &out,
                "output model path (default: overwrite --model in place, "
@@ -399,7 +381,6 @@ int CmdRetrain(int argc, char** argv) {
   train.corpus_name = model->corpus_name;
   train.memory_budget_bytes = static_cast<size_t>(budget_mb) << 20;
   train.sketch_ratio = sketch;
-  train.sketch_budget_bytes = static_cast<size_t>(sketch_budget_mb) << 20;
   train.num_threads = static_cast<size_t>(jobs);
 
   GeneratedColumnSource source(*gen);
@@ -457,8 +438,7 @@ int CmdScan(int argc, char** argv) {
   if (!provider.ok()) return Fail(provider.status());
 
   EngineOptions engine_opts;
-  Status applied = engine_flags.Apply(&engine_opts);
-  if (!applied.ok()) return Fail(applied);
+  engine_flags.Apply(&engine_opts);
   engine_opts.metrics = registry;
   DetectionEngine engine(provider->get(), engine_opts);
 
@@ -676,12 +656,8 @@ int CmdServe(int argc, char** argv) {
     model_registry->AttachBreaker(&reload_breaker);
   }
 
-  EngineOptions engine_opts;
-  Status applied = engine_flags.Apply(&engine_opts);
-  if (!applied.ok()) return Fail(applied);
-  engine_opts.metrics = registry;
-  DetectionEngine engine(provider->get(), engine_opts);
-
+  // The engine is the one admission gate: each batch is charged to its
+  // request's tenant under this table.
   TenantTable tenants(registry);
   if (!tenants_spec.empty()) {
     Status parsed_tenants = tenants.Parse(tenants_spec);
@@ -689,6 +665,12 @@ int CmdServe(int argc, char** argv) {
       return Fail(parsed_tenants.WithContext("parsing --tenants"));
     }
   }
+
+  EngineOptions engine_opts;
+  engine_flags.Apply(&engine_opts);
+  engine_opts.metrics = registry;
+  engine_opts.tenants = &tenants;
+  DetectionEngine engine(provider->get(), engine_opts);
 
   ServerOptions server_opts;
   server_opts.host = host;
@@ -701,7 +683,6 @@ int CmdServe(int argc, char** argv) {
       static_cast<size_t>(max_frame_mb) << 20;
   server_opts.partial_timeout_ms = static_cast<uint64_t>(partial_timeout_ms);
   server_opts.idle_timeout_ms = static_cast<uint64_t>(idle_timeout_ms);
-  server_opts.tenants = &tenants;
   server_opts.metrics = registry;
   server_opts.memory = memory.enabled() ? &memory : nullptr;
   server_opts.health = &health;
@@ -773,15 +754,13 @@ void Usage() {
                "(Auto-Detect, SIGMOD'18)\n\n"
                "commands:\n"
                "  train --columns N --profile WEB|WIKI|PUB-XLS|ENT-XLS\n"
-               "        --precision P --budget-mb M [--sketch R |\n"
-               "        --sketch-budget-mb M] [--seed S]\n"
+               "        --precision P --budget-mb M [--sketch R] [--seed S]\n"
                "        [--out FILE]                     train + save a model\n"
-               "        (a zero-copy mmap ADMODEL2 artifact; --sketch-budget-mb\n"
-               "         caps each language's co-occurrence sketch, writing\n"
-               "         a v3 artifact with a page-aligned SKCH section that\n"
-               "         scan auto-detects; --from-stats FILE skips the\n"
-               "         statistics pass and finalizes from a merged\n"
-               "         ADSHARD1 artifact)\n"
+               "        (a zero-copy mmap ADMODEL2 artifact; --sketch R < 1\n"
+               "         replaces each selected language's co-occurrence\n"
+               "         counts with a count-min sketch R times the size;\n"
+               "         --from-stats FILE skips the statistics pass and\n"
+               "         finalizes from a merged ADSHARD1 artifact)\n"
                "  train-shard --columns N --shard I --num-shards K\n"
                "        [--profile P] [--seed S] --out FILE\n"
                "        build corpus statistics for one contiguous column\n"
@@ -797,22 +776,21 @@ void Usage() {
                "  scan  --model FILE [--min-confidence C] [--jobs N]\n"
                "        [--cache-mb M] [--model-watch [--model-poll-ms N]]\n"
                "        [--deadline-ms N] [--column-budget-us N]\n"
-               "        [--queue-cap N [--admission-policy block|shed-oldest|\n"
-               "         reject] [--admission-timeout-ms N]]\n"
                "        file.csv...                       flag suspicious cells\n"
                "        (--jobs 0 = all cores; --cache-mb 0 disables the\n"
                "         cross-column pair-verdict cache; --model-watch\n"
                "         hot-reloads the model when the file changes;\n"
                "         --deadline-ms bounds batch latency with partial\n"
                "         reports; --column-budget-us degrades slow columns to\n"
-               "         the single-language fallback; --queue-cap bounds\n"
-               "         in-flight work by admission policy)\n"
+               "         the single-language fallback)\n"
                "  serve --model FILE [--port N] [--tenants SPEC]\n"
                "        [--acceptors N] [--port-file FILE]  network server:\n"
                "        ADWIRE1 binary + HTTP/1.1 JSON on one port\n"
                "        (POST /detect, GET /metrics, GET /healthz);\n"
-               "        per-tenant admission via --tenants\n"
-               "        \"acme=512:block,free=64,*=4096\"\n"
+               "        per-tenant admission via --tenants, comma-separated\n"
+               "        name=cap[:block|shed-oldest|reject] columns in flight;\n"
+               "        '*' is every other tenant, e.g.\n"
+               "        \"acme=512:block,free=64,*=4096:shed-oldest\"\n"
                "  pair  --model FILE VALUE1 VALUE2       explain one pair\n"
                "  info  --model FILE                     describe a model\n\n"
                "every command accepts --help for its full generated flag\n"

@@ -238,17 +238,14 @@ struct ModelFlags {
 };
 
 /// The engine knobs shared by every scanning command, including the
-/// resilience surface: deadlines (partial reports instead of slow scans),
-/// per-column degradation budgets, and admission control in front of the
-/// worker pool.
+/// resilience surface: deadlines (partial reports instead of slow scans)
+/// and per-column degradation budgets. Admission quotas are serve's
+/// --tenants.
 struct EngineFlags {
   int64_t jobs = 0;       ///< worker threads; 0 = all cores
   int64_t cache_mb = 32;  ///< pair-verdict cache budget; 0 disables
   int64_t deadline_ms = 0;        ///< per-batch deadline; 0 = none
   int64_t column_budget_us = 0;   ///< degrade past this per-column; 0 = off
-  int64_t queue_cap = 0;          ///< admission cap in columns; 0 = unbounded
-  std::string admission_policy = "block";
-  int64_t admission_timeout_ms = 1000;
 
   void Register(FlagSet* flags) {
     flags->Int("jobs", &jobs, "worker threads (0 = all cores)");
@@ -259,30 +256,13 @@ struct EngineFlags {
     flags->Int("column-budget-us", &column_budget_us,
                "per-column score budget before the degraded single-language "
                "fallback kicks in (0 = unlimited)");
-    flags->Int("queue-cap", &queue_cap,
-               "admission cap in columns across in-flight batches (0 = "
-               "unbounded)");
-    flags->String("admission-policy", &admission_policy,
-                  "over-capacity behaviour: block, shed-oldest or reject");
-    flags->Int("admission-timeout-ms", &admission_timeout_ms,
-               "longest a batch waits for capacity under --admission-policy "
-               "block");
   }
 
-  Status Apply(EngineOptions* options) const {
+  void Apply(EngineOptions* options) const {
     options->num_threads = static_cast<size_t>(jobs);
     options->cache_bytes = static_cast<size_t>(cache_mb) << 20;
     options->default_deadline_ms = static_cast<uint64_t>(deadline_ms);
     options->detector.column_budget_us = static_cast<uint64_t>(column_budget_us);
-    options->admission.queue_cap_columns = static_cast<size_t>(queue_cap);
-    Result<AdmissionPolicy> policy = ParseAdmissionPolicy(admission_policy);
-    if (!policy.ok()) {
-      return policy.status().WithContext("parsing --admission-policy");
-    }
-    options->admission.policy = *policy;
-    options->admission.block_timeout_ms =
-        static_cast<uint64_t>(admission_timeout_ms);
-    return Status::OK();
   }
 };
 
