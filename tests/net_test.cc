@@ -1220,6 +1220,141 @@ TEST_F(NetFixture, DrainCompletesInflightRefusesNewAndFlipsHealthz) {
   server.Stop();
 }
 
+/// Writes `bytes` on a raw connection and reads until `want` responses'
+/// worth of bodies arrived (each response here ends its JSON body with "}\n")
+/// or the peer closes.
+std::string RawHttpExchange(int fd, const std::string& bytes, size_t want) {
+  if (::write(fd, bytes.data(), bytes.size()) !=
+      static_cast<ssize_t>(bytes.size())) {
+    return "";
+  }
+  std::string received;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto complete = [&] {
+    size_t seen = 0;
+    for (size_t at = received.find("}\n"); at != std::string::npos;
+         at = received.find("}\n", at + 2)) {
+      ++seen;
+    }
+    return seen >= want;
+  };
+  while (!complete() && std::chrono::steady_clock::now() < deadline) {
+    char buf[1024];
+    ssize_t got = ::read(fd, buf, sizeof(buf));
+    if (got <= 0) break;
+    received.append(buf, got);
+  }
+  return received;
+}
+
+bool WaitForNoCharge(const MemoryBudget& budget) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (budget.inflight_bytes() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return budget.inflight_bytes() == 0;
+}
+
+std::string PostDetect(const std::string& body) {
+  return StrFormat(
+      "POST /detect HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+      "Content-Length: %zu\r\n\r\n%s",
+      body.size(), body.c_str());
+}
+
+TEST_F(NetFixture, HttpDetectDuringDrainIsRetryable503) {
+  DetectionEngine engine(model_, EngineOptions{});
+  Server server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  // Connect before the drain, and see one response on the connection so the
+  // loop has accepted it: the drain closes the listeners, and a connection
+  // still in their backlog would be reset.
+  auto http = RawConnect("127.0.0.1", server.port());
+  ASSERT_TRUE(http.ok());
+  std::string health =
+      RawHttpExchange(*http, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", 1);
+  ASSERT_EQ(health.rfind("HTTP/1.1 200", 0), 0u) << health;
+  server.BeginDrain();
+
+  std::string response = RawHttpExchange(
+      *http, PostDetect(R"({"columns":[{"name":"q","values":["1","2"]}]})"), 1);
+  ::close(*http);
+  EXPECT_EQ(response.rfind("HTTP/1.1 503", 0), 0u) << response;
+  EXPECT_NE(response.find("Retry-After: 1\r\n"), std::string::npos) << response;
+  EXPECT_NE(response.find("draining"), std::string::npos) << response;
+  EXPECT_EQ(server.Stats().requests, 0u);
+
+  EXPECT_TRUE(server.AwaitDrain(10000));
+  server.Stop();
+}
+
+TEST_F(NetFixture, HttpGlobalBudgetRefusalKeepsTheConnection) {
+  DetectionEngine engine(model_, EngineOptions{});
+  MemoryBudget budget({/*global_bytes=*/1024, /*per_request_bytes=*/0});
+  ServerOptions server_opts;
+  server_opts.memory = &budget;
+  Server server(&engine, server_opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto http = RawConnect("127.0.0.1", server.port());
+  ASSERT_TRUE(http.ok());
+  const std::string fat = "{\"columns\":[{\"name\":\"pad\",\"values\":[\"" +
+                          std::string(4096, 'x') + "\"]}]}";
+  // The refusal and a pipelined /healthz ride one keep-alive connection.
+  std::string response = RawHttpExchange(
+      *http, PostDetect(fat) + "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", 2);
+  ::close(*http);
+
+  EXPECT_EQ(response.rfind("HTTP/1.1 503", 0), 0u) << response;
+  EXPECT_NE(response.find("Retry-After: 1\r\n"), std::string::npos) << response;
+  EXPECT_NE(response.find("retry later"), std::string::npos) << response;
+  size_t second = response.find("HTTP/1.1 ", 1);
+  ASSERT_NE(second, std::string::npos) << response;
+  EXPECT_EQ(response.compare(second, 12, "HTTP/1.1 200"), 0) << response;
+  EXPECT_NE(response.find("\"state\":\"healthy\"", second), std::string::npos)
+      << response;
+  EXPECT_EQ(budget.rejected_total(), 1u);
+  EXPECT_EQ(budget.inflight_bytes(), 0u);
+  EXPECT_EQ(server.Stats().requests, 0u);
+  server.Stop();
+}
+
+TEST_F(NetFixture, HttpMaterializationRefusalIs503) {
+  DetectionEngine engine(model_, EngineOptions{});
+  // Many one-byte values: the JSON body (~4 bytes a value) fits the
+  // per-request budget, but materializing them (one std::string each) does
+  // not, so the refusal comes from Extend on the dispatch side.
+  MemoryBudget budget({/*global_bytes=*/0, /*per_request_bytes=*/2048});
+  ServerOptions server_opts;
+  server_opts.memory = &budget;
+  Server server(&engine, server_opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::string body = R"({"columns":[{"name":"q","values":[)";
+  for (int i = 0; i < 200; ++i) body += i == 0 ? "\"1\"" : ",\"1\"";
+  body += "]}]}";
+  ASSERT_LT(body.size(), 2048u);
+
+  auto http = RawConnect("127.0.0.1", server.port());
+  ASSERT_TRUE(http.ok());
+  std::string response = RawHttpExchange(*http, PostDetect(body), 1);
+  ::close(*http);
+  EXPECT_EQ(response.rfind("HTTP/1.1 503", 0), 0u) << response;
+  EXPECT_NE(response.find("Retry-After: 1\r\n"), std::string::npos) << response;
+  EXPECT_NE(response.find("\r\n\r\n{\"error\":\"column materialization exceeds "
+                          "the memory budget\"}\n"),
+            std::string::npos)
+      << response;
+  EXPECT_EQ(budget.rejected_total(), 1u);
+  // The dispatch thread drops the admitted charge just after it hands over
+  // the response.
+  EXPECT_TRUE(WaitForNoCharge(budget));
+  EXPECT_EQ(server.Stats().requests, 0u);
+  server.Stop();
+}
+
 TEST_F(NetFixture, TenantShedChargesExactlyOnce) {
   MetricsRegistry registry;
   TenantTable tenants(&registry);
