@@ -46,19 +46,6 @@ class DynamicBitset {
     return num_bits_ == other.num_bits_ && words_ == other.words_;
   }
 
-  /// Raw word access for serialization (word i holds bits [64i, 64i+64)).
-  const std::vector<uint64_t>& words() const { return words_; }
-
-  /// Reconstructs from serialized words; extra words are rejected by the
-  /// caller (the word count must match (num_bits+63)/64).
-  static DynamicBitset FromWords(size_t num_bits, std::vector<uint64_t> words) {
-    DynamicBitset b;
-    b.num_bits_ = num_bits;
-    b.words_ = std::move(words);
-    b.words_.resize((num_bits + 63) / 64, 0);
-    return b;
-  }
-
  private:
   size_t num_bits_ = 0;
   std::vector<uint64_t> words_;

@@ -1,7 +1,6 @@
 #include "detect/trainer.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -287,152 +286,6 @@ void TrainSession::RecalibrateInPlace(double smoothing_factor) {
     calibrations_[i] = CalibrateLanguage(i, stats_.ForLanguage(lang_ids_[i]),
                                          prekeyed, options_.calibration);
   });
-}
-
-namespace {
-/// Version 2 appends the shard provenance; version 1 checkpoints predate
-/// sharded training and are rejected with an expected-vs-found error
-/// rather than half-read.
-constexpr char kSessionMagic[] = "ADPIPE2";
-constexpr char kSessionMagicV1[] = "ADPIPE1";
-
-void SerializeBitset(const DynamicBitset& b, BinaryWriter* w) {
-  w->WriteU64(b.size());
-  w->WriteU64(b.words().size());
-  for (uint64_t word : b.words()) w->WriteU64(word);
-}
-
-Result<DynamicBitset> DeserializeBitset(BinaryReader* r) {
-  AD_ASSIGN_OR_RETURN(uint64_t bits, r->ReadU64());
-  AD_ASSIGN_OR_RETURN(uint64_t num_words, r->ReadU64());
-  if (num_words != (bits + 63) / 64 || bits > (1ull << 34)) {
-    return Status::Corruption("bitset shape mismatch");
-  }
-  std::vector<uint64_t> words(static_cast<size_t>(num_words));
-  for (auto& word : words) {
-    AD_ASSIGN_OR_RETURN(word, r->ReadU64());
-  }
-  return DynamicBitset::FromWords(static_cast<size_t>(bits), std::move(words));
-}
-}  // namespace
-
-Status TrainSession::Save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  BinaryWriter w(&out);
-  w.WriteString(kSessionMagic);
-  w.WriteDouble(options_.precision_target);
-  w.WriteDouble(options_.smoothing_factor);
-  w.WriteDouble(options_.calibration.max_threshold);
-  w.WriteString(options_.corpus_name);
-  w.WriteU64(corpus_columns_);
-  w.WriteString(provenance_.corpus_name);
-  w.WriteString(provenance_.profile);
-  w.WriteU64(provenance_.seed);
-  w.WriteU64(provenance_.total_columns);
-  w.WriteU64(provenance_.column_begin);
-  w.WriteU64(provenance_.column_end);
-  stats_.Serialize(&w);
-  w.WriteU64(training_set_.positives.size());
-  for (const auto& p : training_set_.positives) {
-    w.WriteString(p.u);
-    w.WriteString(p.v);
-  }
-  w.WriteU64(training_set_.negatives.size());
-  for (const auto& p : training_set_.negatives) {
-    w.WriteString(p.u);
-    w.WriteString(p.v);
-  }
-  w.WriteU64(lang_ids_.size());
-  for (size_t i = 0; i < lang_ids_.size(); ++i) {
-    w.WriteU32(static_cast<uint32_t>(lang_ids_[i]));
-    const CalibrationResult& cal = calibrations_[i];
-    w.WriteU8(cal.has_threshold ? 1 : 0);
-    w.WriteDouble(cal.threshold);
-    w.WriteDouble(cal.precision_at_threshold);
-    w.WriteU64(cal.covered_count);
-    SerializeBitset(cal.covered_negatives, &w);
-    cal.curve.Serialize(&w);
-  }
-  return w.status().WithContext("writing " + path);
-}
-
-Result<TrainSession> TrainSession::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  BinaryReader r(&in);
-  AD_ASSIGN_OR_RETURN(std::string magic, r.ReadString(16));
-  if (magic == kSessionMagicV1) {
-    return Status::Corruption(StrFormat(
-        "%s: header section: unsupported checkpoint version: expected %s, "
-        "found %s (retrain to regenerate)",
-        path.c_str(), kSessionMagic, kSessionMagicV1));
-  }
-  if (magic != kSessionMagic) {
-    return Status::Corruption("not an Auto-Detect training checkpoint: " + path);
-  }
-  TrainSession s;
-  AD_ASSIGN_OR_RETURN(s.options_.precision_target, r.ReadDouble());
-  AD_ASSIGN_OR_RETURN(s.options_.smoothing_factor, r.ReadDouble());
-  AD_ASSIGN_OR_RETURN(s.options_.calibration.max_threshold, r.ReadDouble());
-  s.options_.calibration.precision_target = s.options_.precision_target;
-  s.options_.calibration.smoothing_factor = s.options_.smoothing_factor;
-  AD_ASSIGN_OR_RETURN(s.options_.corpus_name, r.ReadString());
-  AD_ASSIGN_OR_RETURN(s.corpus_columns_, r.ReadU64());
-  AD_ASSIGN_OR_RETURN(s.provenance_.corpus_name, r.ReadString());
-  AD_ASSIGN_OR_RETURN(s.provenance_.profile, r.ReadString());
-  AD_ASSIGN_OR_RETURN(s.provenance_.seed, r.ReadU64());
-  AD_ASSIGN_OR_RETURN(s.provenance_.total_columns, r.ReadU64());
-  AD_ASSIGN_OR_RETURN(s.provenance_.column_begin, r.ReadU64());
-  AD_ASSIGN_OR_RETURN(s.provenance_.column_end, r.ReadU64());
-  AD_ASSIGN_OR_RETURN(s.stats_, CorpusStats::Deserialize(&r));
-  // A loaded checkpoint may already be supervised, making Finalize (const)
-  // legal immediately — materialize the hash-deferred dictionaries now.
-  s.stats_.EnsureHashed();
-  s.stats_.Canonicalize();
-  AD_ASSIGN_OR_RETURN(uint64_t n_pos, r.ReadU64());
-  if (n_pos > (1ull << 30)) return Status::Corruption("implausible positive count");
-  s.training_set_.positives.reserve(static_cast<size_t>(n_pos));
-  for (uint64_t i = 0; i < n_pos; ++i) {
-    LabeledPair pair;
-    pair.compatible = true;
-    AD_ASSIGN_OR_RETURN(pair.u, r.ReadString());
-    AD_ASSIGN_OR_RETURN(pair.v, r.ReadString());
-    s.training_set_.positives.push_back(std::move(pair));
-  }
-  AD_ASSIGN_OR_RETURN(uint64_t n_neg, r.ReadU64());
-  if (n_neg > (1ull << 30)) return Status::Corruption("implausible negative count");
-  s.training_set_.negatives.reserve(static_cast<size_t>(n_neg));
-  for (uint64_t i = 0; i < n_neg; ++i) {
-    LabeledPair pair;
-    pair.compatible = false;
-    AD_ASSIGN_OR_RETURN(pair.u, r.ReadString());
-    AD_ASSIGN_OR_RETURN(pair.v, r.ReadString());
-    s.training_set_.negatives.push_back(std::move(pair));
-  }
-  AD_ASSIGN_OR_RETURN(uint64_t n_langs, r.ReadU64());
-  if (n_langs > static_cast<uint64_t>(LanguageSpace::kNumLanguages)) {
-    return Status::Corruption("implausible language count");
-  }
-  for (uint64_t i = 0; i < n_langs; ++i) {
-    AD_ASSIGN_OR_RETURN(uint32_t id, r.ReadU32());
-    if (id >= static_cast<uint32_t>(LanguageSpace::kNumLanguages)) {
-      return Status::Corruption("language id out of range");
-    }
-    s.lang_ids_.push_back(static_cast<int>(id));
-    CalibrationResult cal;
-    AD_ASSIGN_OR_RETURN(uint8_t has, r.ReadU8());
-    cal.has_threshold = has != 0;
-    AD_ASSIGN_OR_RETURN(cal.threshold, r.ReadDouble());
-    AD_ASSIGN_OR_RETURN(cal.precision_at_threshold, r.ReadDouble());
-    AD_ASSIGN_OR_RETURN(cal.covered_count, r.ReadU64());
-    AD_ASSIGN_OR_RETURN(cal.covered_negatives, DeserializeBitset(&r));
-    AD_ASSIGN_OR_RETURN(cal.curve, PrecisionCurve::Deserialize(&r));
-    s.calibrations_.push_back(std::move(cal));
-  }
-  s.has_stats_ = true;
-  s.supervised_ = true;
-  return s;
 }
 
 Result<Model> TrainModel(ColumnSource* source, const TrainOptions& options) {

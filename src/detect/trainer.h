@@ -32,9 +32,9 @@
 /// byte-identical to the one-shot model, for any shard order — statistics
 /// are canonicalized (FlatMap64::Canonicalize) at every adoption point, and
 /// every later stage is a pure function of those statistics and the column
-/// stream. The session also checkpoints (Save/Load) so re-selection under
-/// new budgets or sketch ratios never re-scans the corpus — ablation
-/// benches re-run only the cheap final stage (paper Figs. 7 and 8a).
+/// stream. Re-selection under new budgets or sketch ratios re-runs only
+/// Finalize on the same session, so ablation benches never re-scan the
+/// corpus (paper Figs. 7 and 8a).
 
 namespace autodetect {
 
@@ -112,14 +112,6 @@ class TrainSession {
   /// the smoothing ablation (paper Fig. 17a): calibration thresholds depend
   /// on f, so a fair sweep recalibrates rather than just re-scoring.
   void RecalibrateInPlace(double smoothing_factor);
-
-  /// \brief Checkpoints the session (statistics for every candidate
-  /// language, training set, calibrations) so later processes can re-select
-  /// under different budgets/sketch ratios without re-scanning the corpus.
-  /// Only budget-independent state is stored; options revert to defaults
-  /// except the calibration-relevant ones.
-  Status Save(const std::string& path) const;
-  static Result<TrainSession> Load(const std::string& path);
 
   bool has_stats() const { return has_stats_; }
   bool supervised() const { return supervised_; }

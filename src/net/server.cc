@@ -43,6 +43,14 @@ bool CaseInsensitiveContains(std::string_view haystack, std::string_view lower_n
   return false;
 }
 
+/// The `{"error":...}` body every JSON error response carries.
+std::string JsonError(std::string_view message) {
+  std::string body = "{\"error\":";
+  AppendJsonString(&body, message);
+  body.append("}\n");
+  return body;
+}
+
 }  // namespace
 
 /// One accepted connection. The event loop owns reads, protocol parsing and
@@ -301,7 +309,8 @@ void Server::WakeLoop(Loop& loop) {
   [[maybe_unused]] ssize_t n = ::write(loop.wake_fd, &one, sizeof(one));
 }
 
-void Server::SendToConn(const std::shared_ptr<Conn>& conn, std::string&& bytes) {
+void Server::SendToConn(const std::shared_ptr<Conn>& conn, std::string&& bytes,
+                        bool close_after) {
   bool overflow = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -309,6 +318,7 @@ void Server::SendToConn(const std::shared_ptr<Conn>& conn, std::string&& bytes) 
     conn->outbuf.append(bytes);
     outbuf_bytes_.fetch_add(static_cast<int64_t>(bytes.size()),
                             std::memory_order_acq_rel);
+    if (close_after) conn->close_after_flush = true;
     if (conn->outbuf.size() > options_.max_outbuf_bytes) {
       // The client stopped reading while reports stream at it; holding the
       // backlog for a dead reader starves everyone else's memory.
@@ -499,9 +509,8 @@ void Server::ProcessInbuf(Loop& loop, const std::shared_ptr<Conn>& conn) {
       return;
     }
   }
-  bool open = conn->mode == Conn::Mode::kWire ? ProcessWire(loop, conn)
-                                              : ProcessHttp(loop, conn);
-  (void)open;
+  if (conn->mode == Conn::Mode::kWire) return ProcessWire(loop, conn);
+  ProcessHttp(loop, conn);
 }
 
 /// Appends bytes from the loop thread and flushes immediately (same-thread
@@ -519,7 +528,15 @@ void Server::SendInline(Loop& loop, const std::shared_ptr<Conn>& conn,
   FlushConn(loop, conn);
 }
 
-bool Server::ProcessWire(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Server::ProcessWire(Loop& loop, const std::shared_ptr<Conn>& conn) {
+  // A framing or decode failure is unrecoverable: answer with one error
+  // frame and close — never crash, never guess.
+  auto fail = [&](std::string message) {
+    metrics_.protocol_errors->Add(1);
+    stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    SendInline(loop, conn, EncodeErrorFrame(WireError{0, std::move(message)}),
+               /*close_after=*/true);
+  };
   while (true) {
     // Budget check straight off the length prefix: a hostile frame claiming
     // more than the per-request budget is refused from the 5-byte header
@@ -536,97 +553,44 @@ bool Server::ProcessWire(Loop& loop, const std::shared_ptr<Conn>& conn) {
         Status refused = options_.memory->Admit(claim).status();
         WireError error{0, std::string(refused.message())};
         SendInline(loop, conn, EncodeErrorFrame(error), /*close_after=*/true);
-        return false;
+        return;
       }
     }
     auto peeked = PeekFrame(conn->inbuf, options_.wire_limits);
-    if (!peeked.ok()) {
-      // Framing is unrecoverable (oversized prefix / unknown type): answer
-      // with one error frame and close — never crash, never guess.
-      metrics_.protocol_errors->Add(1);
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      WireError error{0, std::string(peeked.status().message())};
-      SendInline(loop, conn, EncodeErrorFrame(error), /*close_after=*/true);
-      return false;
+    if (!peeked.ok()) {  // oversized prefix / unknown type
+      fail(std::string(peeked.status().message()));
+      return;
     }
-    if (!peeked.ValueOrDie().has_value()) return true;  // partial frame
+    if (!peeked.ValueOrDie().has_value()) return;  // partial frame
     FrameView frame = *peeked.ValueOrDie();
     metrics_.frames_in->Add(1);
 
     if (frame.type != FrameType::kDetectRequest) {
-      metrics_.protocol_errors->Add(1);
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      WireError error{0, StrFormat("unexpected client frame type %u",
-                                   unsigned{static_cast<uint8_t>(frame.type)})};
+      const unsigned type = static_cast<uint8_t>(frame.type);
       conn->inbuf.erase(0, frame.frame_len);
-      SendInline(loop, conn, EncodeErrorFrame(error), /*close_after=*/true);
-      return false;
+      fail(StrFormat("unexpected client frame type %u", type));
+      return;
     }
 
     const size_t payload_bytes = frame.payload.size();
     auto decoded = DecodeRequestPayload(frame.payload, options_.wire_limits);
     conn->inbuf.erase(0, frame.frame_len);
     if (!decoded.ok()) {
-      metrics_.protocol_errors->Add(1);
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      WireError error{0, std::string(decoded.status().message())};
-      SendInline(loop, conn, EncodeErrorFrame(error), /*close_after=*/true);
-      return false;
+      fail(std::string(decoded.status().message()));
+      return;
     }
     WireRequest request = std::move(decoded).ValueOrDie();
-
-    if (draining_.load(std::memory_order_acquire)) {
-      // The frame was intact (the connection stays usable for the client's
-      // earlier in-flight responses), but no new work starts during drain.
-      WireError error{request.request_id,
-                      "server draining; not accepting new requests"};
-      SendInline(loop, conn, EncodeErrorFrame(error), /*close_after=*/false);
-      continue;
-    }
-
-    // Wire-decode charge: the decoded request's strings are alive from here
-    // until the batch completes. A global-budget refusal is request-scoped
-    // and retryable, so the connection stays open.
+    // The frame was intact, so a refusal leaves the connection usable for
+    // the client's earlier in-flight responses and for a retry.
+    const Reply reply{Reply::Protocol::kWire, request.request_id};
     MemoryBudget::Charge charge;
-    if (options_.memory != nullptr) {
-      auto admitted = options_.memory->Admit(payload_bytes);
-      if (!admitted.ok()) {
-        WireError error{request.request_id,
-                        std::string(admitted.status().message())};
-        SendInline(loop, conn, EncodeErrorFrame(error), /*close_after=*/false);
-        continue;
-      }
-      charge = std::move(admitted).ValueOrDie();
+    if (AdmitRequest(loop, conn, reply, payload_bytes, &charge)) {
+      SubmitRequest(conn, reply, std::move(request), std::move(charge));
     }
-
-    // Register the request's cancellation scope before dispatch so a
-    // disconnect observed by this loop reaches the batch immediately.
-    CancelSource source =
-        request.deadline_ms > 0
-            ? CancelSource::WithDeadline(
-                  std::chrono::milliseconds(request.deadline_ms))
-            : CancelSource();
-    uint64_t local_id;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      local_id = conn->next_local_id++;
-      conn->inflight.emplace(local_id, source);
-    }
-    conn->inflight_count.fetch_add(1, std::memory_order_relaxed);
-    inflight_requests_.fetch_add(1, std::memory_order_acq_rel);
-    // Submit takes a copyable std::function; the move-only charge rides in
-    // a shared_ptr.
-    auto charge_box =
-        std::make_shared<MemoryBudget::Charge>(std::move(charge));
-    dispatch_->Submit([this, conn, request = std::move(request), local_id,
-                       source = std::move(source), charge_box]() mutable {
-      DispatchWireRequest(conn, std::move(request), local_id,
-                          std::move(source), std::move(*charge_box));
-    });
   }
 }
 
-bool Server::ProcessHttp(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Server::ProcessHttp(Loop& loop, const std::shared_ptr<Conn>& conn) {
   while (true) {
     // curl waits on "Expect: 100-continue" before sending larger bodies;
     // acknowledge as soon as the header block is complete.
@@ -647,142 +611,173 @@ bool Server::ProcessHttp(Loop& loop, const std::shared_ptr<Conn>& conn) {
       metrics_.protocol_errors->Add(1);
       stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       int code = parsed.status().IsCapacityExceeded() ? 413 : 400;
-      std::string body = "{\"error\":";
-      AppendJsonString(&body, parsed.status().message());
-      body.append("}\n");
       SendInline(loop, conn,
-                 BuildHttpResponse(code, "application/json", body,
+                 BuildHttpResponse(code, "application/json",
+                                   JsonError(parsed.status().message()),
                                    /*keep_alive=*/false),
                  /*close_after=*/true);
-      return false;
+      return;
     }
-    if (!parsed.ValueOrDie().has_value()) return true;  // incomplete
+    if (!parsed.ValueOrDie().has_value()) return;  // incomplete
     HttpRequest request = std::move(*parsed.ValueOrDie());
     conn->inbuf.erase(0, request.consumed);
     conn->sent_continue = false;
     metrics_.http_requests->Add(1);
     stat_http_requests_.fetch_add(1, std::memory_order_relaxed);
+    auto respond = [&](int code, std::string_view content_type,
+                       std::string_view body) {
+      SendInline(loop, conn,
+                 BuildHttpResponse(code, content_type, body, request.keep_alive),
+                 /*close_after=*/!request.keep_alive);
+    };
 
     if (request.method == "GET" && request.target == "/metrics") {
-      SendInline(loop, conn,
-                 BuildHttpResponse(200, "text/plain; version=0.0.4",
-                                   registry_->ToPrometheus(),
-                                   request.keep_alive),
-                 /*close_after=*/!request.keep_alive);
-      continue;
-    }
-    if (request.method == "GET" && request.target == "/healthz") {
+      respond(200, "text/plain; version=0.0.4", registry_->ToPrometheus());
+    } else if (request.method == "GET" && request.target == "/healthz") {
       // With a ladder: JSON state, 200 while serving (healthy/degraded),
       // 503 otherwise. Without one the endpoint still tells load balancers
       // about drain.
-      std::string body;
-      int code;
       if (options_.health != nullptr) {
-        body = options_.health->ToJson();
-        body.push_back('\n');
-        code = options_.health->Serving() ? 200 : 503;
+        respond(options_.health->Serving() ? 200 : 503, "application/json",
+                options_.health->ToJson() + "\n");
       } else if (draining_.load(std::memory_order_acquire)) {
-        body = "{\"state\":\"draining\",\"draining\":true,\"conditions\":[]}\n";
-        code = 503;
+        respond(503, "application/json",
+                "{\"state\":\"draining\",\"draining\":true,\"conditions\":[]}\n");
       } else {
-        body = "{\"state\":\"healthy\",\"draining\":false,\"conditions\":[]}\n";
-        code = 200;
+        respond(200, "application/json",
+                "{\"state\":\"healthy\",\"draining\":false,\"conditions\":[]}\n");
       }
-      SendInline(loop, conn,
-                 BuildHttpResponse(code, "application/json", body,
-                                   request.keep_alive),
-                 /*close_after=*/!request.keep_alive);
-      continue;
-    }
-    if (request.method == "POST" && request.target == "/drain") {
+    } else if (request.method == "POST" && request.target == "/drain") {
       BeginDrain();
-      SendInline(loop, conn,
-                 BuildHttpResponse(200, "application/json",
-                                   "{\"state\":\"draining\"}\n",
-                                   request.keep_alive),
-                 /*close_after=*/!request.keep_alive);
-      continue;
-    }
-    if (request.target == "/detect") {
-      if (request.method != "POST") {
-        SendInline(loop, conn,
-                   BuildHttpResponse(405, "application/json",
-                                     "{\"error\":\"POST required\"}\n",
-                                     request.keep_alive),
-                   /*close_after=*/!request.keep_alive);
+      respond(200, "application/json", "{\"state\":\"draining\"}\n");
+    } else if (request.target == "/detect" && request.method != "POST") {
+      respond(405, "application/json", JsonError("POST required"));
+    } else if (request.target == "/detect") {
+      // The body is charged before it is parsed; a parse failure releases
+      // the charge with the 400.
+      const Reply reply{Reply::Protocol::kHttp, 0, request.keep_alive};
+      MemoryBudget::Charge charge;
+      if (!AdmitRequest(loop, conn, reply, request.body.size(), &charge)) {
         continue;
       }
-      if (draining_.load(std::memory_order_acquire)) {
-        SendInline(loop, conn,
-                   BuildHttpResponse(
-                       503, "application/json",
-                       "{\"error\":\"server draining; not accepting new "
-                       "requests\"}\n",
-                       request.keep_alive, {{"Retry-After", "1"}}),
-                   /*close_after=*/!request.keep_alive);
-        continue;
-      }
-      MemoryBudget::Charge http_charge;
-      if (options_.memory != nullptr) {
-        auto admitted = options_.memory->Admit(request.body.size());
-        if (!admitted.ok()) {
-          std::string body = "{\"error\":";
-          AppendJsonString(&body, admitted.status().message());
-          body.append("}\n");
-          SendInline(loop, conn,
-                     BuildHttpResponse(503, "application/json", body,
-                                       request.keep_alive,
-                                       {{"Retry-After", "1"}}),
-                     /*close_after=*/!request.keep_alive);
-          continue;
-        }
-        http_charge = std::move(admitted).ValueOrDie();
-      }
-      auto wire = ParseJsonDetectRequest(request.body, options_.wire_limits);
-      if (!wire.ok()) {
+      auto detect = ParseJsonDetectRequest(request.body, options_.wire_limits);
+      if (!detect.ok()) {
         metrics_.protocol_errors->Add(1);
         stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        std::string body = "{\"error\":";
-        AppendJsonString(&body, wire.status().message());
-        body.append("}\n");
-        SendInline(loop, conn,
-                   BuildHttpResponse(400, "application/json", body,
-                                     request.keep_alive),
-                   /*close_after=*/!request.keep_alive);
+        respond(400, "application/json", JsonError(detect.status().message()));
         continue;
       }
-      WireRequest detect = std::move(wire).ValueOrDie();
-      CancelSource source =
-          detect.deadline_ms > 0
-              ? CancelSource::WithDeadline(
-                    std::chrono::milliseconds(detect.deadline_ms))
-              : CancelSource();
-      uint64_t local_id;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        local_id = conn->next_local_id++;
-        conn->inflight.emplace(local_id, source);
-      }
-      conn->inflight_count.fetch_add(1, std::memory_order_relaxed);
-      inflight_requests_.fetch_add(1, std::memory_order_acq_rel);
-      bool keep_alive = request.keep_alive;
-      auto charge_box =
-          std::make_shared<MemoryBudget::Charge>(std::move(http_charge));
-      dispatch_->Submit([this, conn, detect = std::move(detect), local_id,
-                         source = std::move(source), keep_alive,
-                         charge_box]() mutable {
-        DispatchHttpDetect(conn, std::move(detect), local_id,
-                           std::move(source), keep_alive,
-                           std::move(*charge_box));
-      });
-      continue;
+      SubmitRequest(conn, reply, std::move(detect).ValueOrDie(),
+                    std::move(charge));
+    } else {
+      respond(404, "application/json", JsonError("unknown endpoint"));
     }
-    SendInline(loop, conn,
-               BuildHttpResponse(404, "application/json",
-                                 "{\"error\":\"unknown endpoint\"}\n",
-                                 request.keep_alive),
-               /*close_after=*/!request.keep_alive);
   }
+}
+
+std::string Server::Reply::Refusal(std::string_view message) const {
+  if (protocol == Protocol::kWire) {
+    return EncodeErrorFrame(WireError{request_id, std::string(message)});
+  }
+  return BuildHttpResponse(503, "application/json", JsonError(message),
+                           keep_alive, {{"Retry-After", "1"}});
+}
+
+bool Server::AdmitRequest(Loop& loop, const std::shared_ptr<Conn>& conn,
+                          const Reply& reply, size_t bytes,
+                          MemoryBudget::Charge* charge) {
+  if (draining_.load(std::memory_order_acquire)) {
+    SendInline(loop, conn,
+               reply.Refusal("server draining; not accepting new requests"),
+               reply.close_after());
+    return false;
+  }
+  // Decode charge: the request's bytes are alive from here until the batch
+  // completes. A global-budget refusal is request-scoped and retryable.
+  if (options_.memory != nullptr) {
+    auto admitted = options_.memory->Admit(bytes);
+    if (!admitted.ok()) {
+      SendInline(loop, conn, reply.Refusal(admitted.status().message()),
+                 reply.close_after());
+      return false;
+    }
+    *charge = std::move(admitted).ValueOrDie();
+  }
+  return true;
+}
+
+void Server::SubmitRequest(const std::shared_ptr<Conn>& conn,
+                           const Reply& reply, WireRequest&& request,
+                           MemoryBudget::Charge&& charge) {
+  // Register the request's cancellation scope before dispatch so a
+  // disconnect observed by this loop reaches the batch immediately.
+  CancelSource source =
+      request.deadline_ms > 0
+          ? CancelSource::WithDeadline(
+                std::chrono::milliseconds(request.deadline_ms))
+          : CancelSource();
+  uint64_t local_id;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    local_id = conn->next_local_id++;
+    conn->inflight.emplace(local_id, source);
+  }
+  conn->inflight_count.fetch_add(1, std::memory_order_relaxed);
+  inflight_requests_.fetch_add(1, std::memory_order_acq_rel);
+  // Submit takes a copyable std::function; the move-only charge rides in a
+  // shared_ptr.
+  auto charge_box = std::make_shared<MemoryBudget::Charge>(std::move(charge));
+  dispatch_->Submit([this, conn, reply, request = std::move(request), local_id,
+                     source = std::move(source), charge_box] {
+    ServeRequest(conn, reply, local_id, request, source, *charge_box);
+  });
+}
+
+void Server::ServeRequest(const std::shared_ptr<Conn>& conn, const Reply& reply,
+                          uint64_t local_id, const WireRequest& request,
+                          const CancelSource& source,
+                          MemoryBudget::Charge& charge) {
+  const bool wire = reply.protocol == Reply::Protocol::kWire;
+  Watchdog::TaskScope watched(options_.watchdog, wire ? "wire" : "http");
+  if (AD_FAILPOINT("serve.worker.wedge")) {
+    // Chaos hook: park this worker long enough for the watchdog to flag it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  }
+  std::string response;
+  // Materialization charge: RunDetect's ToDetectBatch copies every column
+  // string. Refusal is the same typed error the admission path produces.
+  if (!charge.Extend(WireRequestBytes(request))) {
+    response = reply.Refusal(
+        wire ? "ResourceExhausted: column materialization exceeds the "
+               "memory budget"
+             : "column materialization exceeds the memory budget");
+  } else if (wire) {
+    WireSink sink(this, conn, request.request_id);
+    RunDetect(request, source, sink);
+    metrics_.frames_out->Add(1);
+    response = EncodeBatchDoneFrame({request.request_id, request.columns.size()});
+  } else {
+    CollectSink sink(request.columns.size());
+    RunDetect(request, source, sink);
+    std::string body = DetectResponseToJson(request.request_id, sink.reports());
+    body.push_back('\n');
+    response = BuildHttpResponse(200, "application/json", body, reply.keep_alive);
+  }
+  // Return the charge and deregister before the terminal bytes go out: a
+  // client that has read them must find the budget already free, and one
+  // that closes instantly must not race CloseConn into counting a spurious
+  // disconnect-cancel for an already-finished request. The drain-visible
+  // in-flight count drops only after the bytes are buffered, so AwaitDrain
+  // can never observe "nothing in flight, nothing buffered" while the
+  // terminal response is still in this thread's hands.
+  charge.Release();
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->inflight.erase(local_id);
+  }
+  conn->inflight_count.fetch_sub(1, std::memory_order_relaxed);
+  SendToConn(conn, std::move(response), reply.close_after());
+  inflight_requests_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void Server::RunDetect(const WireRequest& request, const CancelSource& source,
@@ -795,80 +790,6 @@ void Server::RunDetect(const WireRequest& request, const CancelSource& source,
   for (auto& r : batch) r.cancel = source.token();
   executor_->Detect(batch, sink);
   metrics_.request_latency_us->Record(ElapsedUs(start));
-}
-
-void Server::CompleteRequest(const std::shared_ptr<Conn>& conn,
-                             uint64_t local_id) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->inflight.erase(local_id);
-  }
-  conn->inflight_count.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void Server::FinishDispatched(const std::shared_ptr<Conn>& conn,
-                              uint64_t local_id, std::string&& final_bytes) {
-  // Deregister before the terminal bytes go out: a client that reads them
-  // and closes instantly must not race CloseConn into counting a spurious
-  // disconnect-cancel for an already-finished request. The drain-visible
-  // in-flight count drops only after the bytes are buffered, so AwaitDrain
-  // can never observe "nothing in flight, nothing buffered" while the
-  // terminal response is still in this thread's hands.
-  CompleteRequest(conn, local_id);
-  if (!final_bytes.empty()) SendToConn(conn, std::move(final_bytes));
-  inflight_requests_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void Server::DispatchWireRequest(std::shared_ptr<Conn> conn, WireRequest request,
-                                 uint64_t local_id, CancelSource source,
-                                 MemoryBudget::Charge charge) {
-  Watchdog::TaskScope watched(options_.watchdog, "wire");
-  if (AD_FAILPOINT("serve.worker.wedge")) {
-    // Chaos hook: park this worker long enough for the watchdog to flag it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  }
-  // Materialization charge: RunDetect's ToDetectBatch copies every column
-  // string. Refusal is the same typed error the admission path produces.
-  if (!charge.Extend(WireRequestBytes(request))) {
-    WireError error{request.request_id,
-                    "ResourceExhausted: column materialization exceeds the "
-                    "memory budget"};
-    FinishDispatched(conn, local_id, EncodeErrorFrame(error));
-    return;
-  }
-  WireSink sink(this, conn, request.request_id);
-  RunDetect(request, source, sink);
-  metrics_.frames_out->Add(1);
-  FinishDispatched(conn, local_id,
-                   EncodeBatchDoneFrame(
-                       {request.request_id, request.columns.size()}));
-}
-
-void Server::DispatchHttpDetect(std::shared_ptr<Conn> conn, WireRequest request,
-                                uint64_t local_id, CancelSource source,
-                                bool keep_alive, MemoryBudget::Charge charge) {
-  Watchdog::TaskScope watched(options_.watchdog, "http");
-  if (AD_FAILPOINT("serve.worker.wedge")) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  }
-  std::string response;
-  if (!charge.Extend(WireRequestBytes(request))) {
-    response = BuildHttpResponse(
-        503, "application/json",
-        "{\"error\":\"column materialization exceeds the memory budget\"}\n",
-        keep_alive, {{"Retry-After", "1"}});
-  } else {
-    CollectSink sink(request.columns.size());
-    RunDetect(request, source, sink);
-    std::string body = DetectResponseToJson(request.request_id, sink.reports());
-    body.push_back('\n');
-    response = BuildHttpResponse(200, "application/json", body, keep_alive);
-  }
-  if (!keep_alive) {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->close_after_flush = true;
-  }
-  FinishDispatched(conn, local_id, std::move(response));
 }
 
 void Server::FlushConn(Loop& loop, const std::shared_ptr<Conn>& conn) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -32,6 +33,11 @@
 /// wide table sees findings while the tail is still queued. (The HTTP
 /// surface buffers one JSON response per request; streaming delivery is the
 /// binary protocol's contract.)
+///
+/// Once decoded, requests of both protocols share one lifecycle (drain
+/// check, budget admit, cancel registration and dispatch on the loop; the
+/// watchdog scope, materialization charge and detect on a dispatch thread);
+/// only the encoding of refusals and responses differs (Server::Reply).
 ///
 /// Endpoints (HTTP): POST /detect (JSON body, see net/json.h),
 /// GET /metrics (Prometheus text), GET /healthz.
@@ -174,42 +180,53 @@ class Server {
   void AcceptNew(Loop& loop);
   void HandleReadable(Loop& loop, const std::shared_ptr<Conn>& conn);
   void ProcessInbuf(Loop& loop, const std::shared_ptr<Conn>& conn);
-  bool ProcessWire(Loop& loop, const std::shared_ptr<Conn>& conn);
-  bool ProcessHttp(Loop& loop, const std::shared_ptr<Conn>& conn);
+  void ProcessWire(Loop& loop, const std::shared_ptr<Conn>& conn);
+  void ProcessHttp(Loop& loop, const std::shared_ptr<Conn>& conn);
   void SendInline(Loop& loop, const std::shared_ptr<Conn>& conn,
                   std::string&& bytes, bool close_after);
   void FlushConn(Loop& loop, const std::shared_ptr<Conn>& conn);
   void CloseConn(Loop& loop, const std::shared_ptr<Conn>& conn,
                  bool cancel_inflight);
 
-  // --- dispatch side (dispatch pool threads) ---
-  void DispatchWireRequest(std::shared_ptr<Conn> conn, WireRequest request,
-                           uint64_t local_id, CancelSource source,
-                           MemoryBudget::Charge charge);
-  void DispatchHttpDetect(std::shared_ptr<Conn> conn, WireRequest request,
-                          uint64_t local_id, CancelSource source,
-                          bool keep_alive, MemoryBudget::Charge charge);
+  // --- the detect request lifecycle, shared by ADWIRE1 and HTTP /detect ---
+
+  /// The per-protocol part of the lifecycle: how a refusal and the final
+  /// response are encoded. Wire refusals are kError frames tagged with
+  /// `request_id`; HTTP refusals are 503 + Retry-After, and the connection
+  /// closes after the response unless `keep_alive`.
+  struct Reply {
+    enum class Protocol : uint8_t { kWire, kHttp } protocol;
+    uint64_t request_id = 0;
+    bool keep_alive = true;
+    std::string Refusal(std::string_view message) const;
+    bool close_after() const { return protocol == Protocol::kHttp && !keep_alive; }
+  };
+  /// Loop side: the drain check, then the budget charge of `bytes`; false,
+  /// with the refusal already sent, when either refuses.
+  bool AdmitRequest(Loop& loop, const std::shared_ptr<Conn>& conn,
+                    const Reply& reply, size_t bytes,
+                    MemoryBudget::Charge* charge);
+  /// Loop side: registers the request's CancelSource and submits it.
+  void SubmitRequest(const std::shared_ptr<Conn>& conn, const Reply& reply,
+                     WireRequest&& request, MemoryBudget::Charge&& charge);
+  /// Dispatch side: watchdog scope, materialization charge, RunDetect, then
+  /// the terminal response (batch-done frame / HTTP response).
+  void ServeRequest(const std::shared_ptr<Conn>& conn, const Reply& reply,
+                    uint64_t local_id, const WireRequest& request,
+                    const CancelSource& source, MemoryBudget::Charge& charge);
   /// Runs one decoded request through the executor, streaming every
   /// column's report (including admission-shed ones) into `sink`.
   void RunDetect(const WireRequest& request, const CancelSource& source,
                  ReportSink& sink);
-  /// Finishes one dispatched request: deregisters it and decrements the
-  /// drain-visible in-flight count. `final_bytes`, when non-empty, is the
-  /// terminal response (batch-done frame / HTTP body) — it is appended
-  /// BEFORE the in-flight count drops so AwaitDrain can never observe
-  /// "nothing in flight, nothing buffered" with the terminal bytes still
-  /// in a dispatch thread's hands.
-  void FinishDispatched(const std::shared_ptr<Conn>& conn, uint64_t local_id,
-                        std::string&& final_bytes);
-  void CompleteRequest(const std::shared_ptr<Conn>& conn, uint64_t local_id);
 
-  /// Appends bytes to the connection's output buffer and wakes its loop.
-  /// Safe from any thread; a no-op once the connection closed.
-  void SendToConn(const std::shared_ptr<Conn>& conn, std::string&& bytes);
+  /// Appends bytes to the connection's output buffer (closing it once they
+  /// are flushed if `close_after`) and wakes its loop. Safe from any thread;
+  /// a no-op once the connection closed.
+  void SendToConn(const std::shared_ptr<Conn>& conn, std::string&& bytes,
+                  bool close_after = false);
   void WakeLoop(Loop& loop);
 
   class WireSink;
-  friend class WireSink;
 
   DetectionExecutor* executor_;
   ServerOptions options_;

@@ -106,7 +106,7 @@ class LanguageStats {
   /// identical bytes. Only valid on owned, exact (unsketched) stats.
   void Canonicalize();
 
-  /// \brief Streams owned stats (shard artifacts, training checkpoints).
+  /// \brief Streams owned stats (shard artifacts).
   /// Frozen stats are written with AppendFrozen instead.
   void Serialize(BinaryWriter* writer) const;
 

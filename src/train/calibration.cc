@@ -25,15 +25,6 @@ double PrecisionCurve::PrecisionAt(double score) const {
   return std::prev(it)->precision;
 }
 
-void PrecisionCurve::Serialize(BinaryWriter* writer) const {
-  writer->WriteU64(size());
-  const Point* p = data();
-  for (size_t i = 0; i < size(); ++i) {
-    writer->WriteDouble(p[i].score);
-    writer->WriteDouble(p[i].precision);
-  }
-}
-
 void PrecisionCurve::AppendFrozen(std::string* out) const {
   uint64_t n = size();
   out->append(reinterpret_cast<const char*>(&n), sizeof(n));
@@ -61,20 +52,6 @@ Result<PrecisionCurve> PrecisionCurve::FromFrozen(const void* data, size_t len) 
   curve.view_size_ = static_cast<size_t>(n);
   curve.view_data_ = n == 0 ? nullptr : reinterpret_cast<const Point*>(p + 8);
   return curve;
-}
-
-Result<PrecisionCurve> PrecisionCurve::Deserialize(BinaryReader* reader) {
-  AD_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
-  if (n > (1ULL << 24)) return Status::Corruption("implausible curve size");
-  std::vector<PrecisionCurve::Point> points;
-  points.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    PrecisionCurve::Point p;
-    AD_ASSIGN_OR_RETURN(p.score, reader->ReadDouble());
-    AD_ASSIGN_OR_RETURN(p.precision, reader->ReadDouble());
-    points.push_back(p);
-  }
-  return PrecisionCurve(std::move(points));
 }
 
 std::vector<double> ScoreTrainingSet(const GeneralizationLanguage& lang,

@@ -4,7 +4,6 @@
 
 #include "common/bitset.h"
 #include "common/result.h"
-#include "io/serde.h"
 #include "stats/language_stats.h"
 #include "text/language.h"
 #include "text/run_tokenizer.h"
@@ -47,9 +46,6 @@ class PrecisionCurve {
   bool empty() const { return size() == 0; }
   size_t size() const { return points_.empty() ? view_size_ : points_.size(); }
   const Point* data() const { return points_.empty() ? view_data_ : points_.data(); }
-
-  void Serialize(BinaryWriter* writer) const;
-  static Result<PrecisionCurve> Deserialize(BinaryReader* reader);
 
   /// Frozen blob size: u64 count + points verbatim.
   size_t FrozenBytes() const { return 8 + size() * sizeof(Point); }

@@ -283,43 +283,6 @@ TEST_F(DetectFixture, ExplainPairCompatibleCase) {
   EXPECT_NE(explanation.ToString().find("compatible"), std::string::npos);
 }
 
-TEST_F(DetectFixture, PipelineCheckpointRoundTrip) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "ad_pipeline_ckpt.bin").string();
-  ASSERT_TRUE(session_->Save(path).ok());
-  auto loaded = TrainSession::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->lang_ids(), session_->lang_ids());
-  EXPECT_EQ(loaded->corpus_columns(), session_->corpus_columns());
-  EXPECT_EQ(loaded->training_set().positives.size(),
-            session_->training_set().positives.size());
-
-  // Re-selection from the checkpoint yields the same model.
-  auto original = session_->Finalize(8ull << 20, 1.0);
-  auto restored = loaded->Finalize(8ull << 20, 1.0);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->languages.size(), original->languages.size());
-  for (size_t i = 0; i < original->languages.size(); ++i) {
-    EXPECT_EQ(restored->languages[i].lang_id, original->languages[i].lang_id);
-    EXPECT_DOUBLE_EQ(restored->languages[i].threshold,
-                     original->languages[i].threshold);
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(TrainerTest, PipelineLoadRejectsGarbage) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "ad_pipeline_garbage.bin").string();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a checkpoint at all";
-  }
-  EXPECT_FALSE(TrainSession::Load(path).ok());
-  std::filesystem::remove(path);
-  EXPECT_TRUE(TrainSession::Load("/no/such/ckpt.bin").status().IsIOError());
-}
-
 TEST(TrainerTest, FailsOnEmptySource) {
   Corpus corpus;
   CorpusSource source(&corpus);

@@ -232,16 +232,23 @@ TEST(AdmissionControllerTest, BlockPolicyTimesOutThenUnblocksOnRelease) {
   // Full: the wait must expire and the batch be rejected.
   EXPECT_EQ(controller.Admit(2), nullptr);
   EXPECT_EQ(controller.Stats().block_timeouts, 1u);
+  controller.Release(first);
 
-  // Now a releaser frees capacity mid-wait: the blocked Admit must succeed.
+  // A releaser frees capacity mid-wait: the blocked Admit must succeed. The
+  // long timeout means only a 10 s stall of the releaser can fail this half.
+  options.block_timeout_ms = 10000;
+  AdmissionController patient(options);
+  auto held = patient.Admit(4);
+  ASSERT_NE(held, nullptr);
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    controller.Release(first);
+    patient.Release(held);
   });
-  auto second = controller.Admit(2);  // blocks until the release
+  auto second = patient.Admit(2);  // blocks until the release
   releaser.join();
   ASSERT_NE(second, nullptr);
-  controller.Release(second);
+  EXPECT_EQ(patient.Stats().block_timeouts, 0u);
+  patient.Release(second);
 }
 
 TEST(AdmissionControllerTest, ShedOldestEvictsInAdmissionOrder) {

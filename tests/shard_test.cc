@@ -403,7 +403,7 @@ TEST_F(ShardFailClosedTest, TrailingBytesAreCorruption) {
   EXPECT_NE(loaded.status().ToString().find("trailing"), std::string::npos);
 }
 
-// --- Checkpoint loading under injected I/O faults -------------------------
+// --- Shard loading under injected I/O faults ------------------------------
 //
 // The reduce stage and warm restarts both hinge on artifact loads surviving
 // the kernel's legal-but-annoying behaviors (short reads, EINTR) and failing
@@ -466,35 +466,6 @@ TEST(ShardChaosTest, ReadShardTruncateFailpointIsTypedIOError) {
   late.skip = 4;  // let the header reads through, then starve a later one
   failpoint::ScopedFailpoint truncate("serde.read.truncate", late);
   auto loaded = ReadShard(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
-  fs::remove(path);
-}
-
-TEST(ShardChaosTest, SessionCheckpointLoadFailsClosedOnTruncateFailpoint) {
-  if (!kFailpointsEnabled) {
-    GTEST_SKIP() << "failpoints compiled out (build with "
-                    "-DAUTODETECT_FAILPOINTS=ON)";
-  }
-  const GeneratorOptions gen = TestGenerator(120, 99);
-  TrainSession session(TestTrainOptions());
-  GeneratedColumnSource source(gen);
-  ASSERT_TRUE(session.BuildStats(&source).ok());
-  const std::string path = TempPath("ad_session_chaos.ckpt");
-  ASSERT_TRUE(session.Save(path).ok());
-
-  {
-    // Sanity: the checkpoint loads cleanly without faults armed.
-    auto clean = TrainSession::Load(path);
-    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-    EXPECT_EQ(clean->corpus_columns(), session.corpus_columns());
-    EXPECT_EQ(clean->lang_ids(), session.lang_ids());
-  }
-
-  failpoint::FailpointSpec late;
-  late.skip = 6;
-  failpoint::ScopedFailpoint truncate("serde.read.truncate", late);
-  auto loaded = TrainSession::Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
   fs::remove(path);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "common/random.h"
 #include "stats/npmi.h"
@@ -198,18 +197,6 @@ TEST(CalibrationTest, CurvePrecisionIsMonotoneLookup) {
   EXPECT_DOUBLE_EQ(curve.PrecisionAt(-0.5), 0.9);
   EXPECT_DOUBLE_EQ(curve.PrecisionAt(0.5), 0.6);  // above range: last point
   EXPECT_DOUBLE_EQ(PrecisionCurve().PrecisionAt(0.0), 0.0);
-}
-
-TEST(CalibrationTest, CurveSerializationRoundTrip) {
-  PrecisionCurve curve({{-1.0, 0.99}, {0.0, 0.5}});
-  std::stringstream ss;
-  BinaryWriter w(&ss);
-  curve.Serialize(&w);
-  BinaryReader r(&ss);
-  auto restored = PrecisionCurve::Deserialize(&r);
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->size(), 2u);
-  EXPECT_DOUBLE_EQ(restored->PrecisionAt(-1.0), 0.99);
 }
 
 TEST(CalibrationTest, ScoreTrainingSetOrdersPositivesThenNegatives) {

@@ -15,9 +15,11 @@
 # library and the concurrency/fuzz-sensitive tests in a separate
 # build-$SANITIZE tree with -fsanitize=$SANITIZE and runs serve_test
 # (DetectionEngine/ShardedPairCache races, ModelRegistry reload races),
-# io_test (mmap + serde bounds) and model_v2_test (ADMODEL2
-# truncation/bit-flip fuzz) under it, so races and out-of-bounds reads fail
-# the gate deterministically instead of flaking. Example:
+# io_test (mmap + serde bounds), model_v2_test (ADMODEL2 truncation/bit-flip
+# fuzz), lifecycle_test (budget, health ladder, watchdog), shard_test
+# (concurrent shard builds and merges) and net_test including the live
+# server under it, so races and out-of-bounds reads fail the gate
+# deterministically instead of flaking. Example:
 #
 #   SANITIZE=thread tools/run_tier1.sh
 #
@@ -342,7 +344,8 @@ if [[ -n "$SANITIZE" ]]; then
     -DAUTODETECT_BUILD_BENCHMARKS=OFF \
     -DAUTODETECT_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target serve_test io_test model_v2_test resilience_test fuzz_test net_test
+    --target serve_test io_test model_v2_test resilience_test fuzz_test \
+             net_test lifecycle_test shard_test
   "$BUILD_DIR/tests/serve_test"
   "$BUILD_DIR/tests/io_test"
   "$BUILD_DIR/tests/model_v2_test"
@@ -352,10 +355,12 @@ if [[ -n "$SANITIZE" ]]; then
   # sweeps the SIMD tail/boundary loads and the interner's probe chains.
   "$BUILD_DIR/tests/fuzz_test"
   # The decode fuzzers (structure-aware frame mutation, hostile HTTP/JSON)
-  # run under the sanitizer too; the live-server fixture is skipped — its
-  # model-training setup dominates runtime without adding decode coverage.
-  "$BUILD_DIR/tests/net_test" --gtest_filter='-NetFixture.*'
-  echo "serve_test + io_test + model_v2_test + resilience_test + fuzz_test + net_test(decode) green under -fsanitize=$SANITIZE"
+  # and the live loopback server: event loops, dispatch pool, drain and
+  # disconnect-as-cancel all run under the sanitizer.
+  "$BUILD_DIR/tests/net_test"
+  "$BUILD_DIR/tests/lifecycle_test"
+  "$BUILD_DIR/tests/shard_test"
+  echo "serve_test + io_test + model_v2_test + resilience_test + fuzz_test + net_test + lifecycle_test + shard_test green under -fsanitize=$SANITIZE"
   exit 0
 fi
 
