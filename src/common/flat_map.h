@@ -47,9 +47,14 @@ class FlatMap64 {
   bool empty() const { return size() == 0; }
   size_t capacity() const { return slots_.size(); }
 
-  /// Backing-array bytes actually resident — the size(L) input of the
-  /// selection knapsack.
-  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+  /// Probe-array bytes this map freezes to once canonicalized — the size(L)
+  /// input of the selection knapsack. A function of the entry count alone,
+  /// not of the resident array: a map that was reserved ahead of its
+  /// content, or is still hash-deferred, is priced the same as its
+  /// canonical copy.
+  size_t MemoryBytes() const {
+    return size_ == 0 ? 0 : RequiredCapacity(size_) * sizeof(Slot);
+  }
 
   /// \brief Ensures capacity for `n` entries without rehashing. Call before
   /// bulk insertion (merge, deserialize) to avoid rehash storms.
@@ -70,21 +75,13 @@ class FlatMap64 {
       has_zero_ = true;
       return zero_value_;
     }
-    if (RequiredCapacity(size_ + 1) > slots_.size()) {
-      Rehash(RequiredCapacity(size_ + 1));
-    }
+    if (slots_.empty()) Rehash(kMinCapacity);
     size_t i = ProbeStart(key);
-    while (true) {
-      Slot& s = slots_[i];
-      if (s.key == key) return s.value;
-      if (s.key == 0) {
-        s.key = key;
-        ++size_;
-        canonical_ = false;  // a new key invalidates the canonical layout
-        return s.value;
-      }
+    while (slots_[i].key != key) {
+      if (slots_[i].key == 0) return Insert(key, i);
       i = (i + 1) & (slots_.size() - 1);
     }
+    return slots_[i].value;
   }
 
   /// Pointer to the value for `key`, or nullptr if absent.
@@ -110,12 +107,17 @@ class FlatMap64 {
   bool Contains(uint64_t key) const { return Find(key) != nullptr; }
 
   /// \brief Adds every (key, value) pair of `other` into this map, summing
-  /// values on overlapping keys (the shard-merge operation of the statistics
-  /// builder). Growth is left to the insert path: it only triggers on keys
+  /// values on overlapping keys (the in-place shard fold of the training
+  /// session). Growth is left to the insert path: it only triggers on keys
   /// actually new to this map (amortized one rehash), so folding a small
-  /// delta whose keys mostly overlap neither copies the big map nor
-  /// invalidates its canonical layout.
+  /// delta whose keys mostly overlap never copies the big map. A
+  /// hash-deferred `other` (fresh from an ADSHARD1 file) is read from its
+  /// sorted entries without building its probe array.
   void MergeAdd(const FlatMap64& other) {
+    if (const std::vector<Slot>* sorted = other.sorted_cache()) {
+      for (const Slot& s : *sorted) (*this)[s.key] += s.value;
+      return;
+    }
     other.ForEach([this](uint64_t key, uint64_t value) { (*this)[key] += value; });
   }
 
@@ -124,9 +126,9 @@ class FlatMap64 {
   /// inserting the non-zero keys in ascending order. Linear-probing layout is
   /// otherwise a function of insertion/growth history, so two maps with equal
   /// contents can freeze to different bytes; after Canonicalize the frozen
-  /// blob (and ForEach order) is a pure function of the content. This is the
-  /// determinism contract behind shard merging: any merge order canonicalizes
-  /// to bit-identical statistics.
+  /// blob (and ForEach order) is a pure function of the content. Training
+  /// calls it once per selected language at the freeze point, which is what
+  /// makes any shard order and any fold history freeze to identical bytes.
   void Canonicalize() {
     if (canonical_) return;  // layout already a pure function of content
     std::vector<Slot> pairs;
@@ -356,6 +358,21 @@ class FlatMap64 {
     map.sorted_ = std::move(pairs);
     map.has_sorted_ = true;
     return map;
+  }
+
+  /// Inserts `key`, known to be absent, at the empty slot `i` its probe
+  /// reached. Growth happens here and only here, so incrementing an existing
+  /// key never resizes: capacity tracks the number of distinct keys.
+  uint64_t& Insert(uint64_t key, size_t i) {
+    if (RequiredCapacity(size_ + 1) > slots_.size()) {
+      Rehash(RequiredCapacity(size_ + 1));
+      i = ProbeStart(key);
+      while (slots_[i].key != 0) i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i].key = key;
+    ++size_;
+    canonical_ = false;  // a new key invalidates the canonical layout
+    return slots_[i].value;
   }
 
   void DropSortedCache() {

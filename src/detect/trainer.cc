@@ -62,7 +62,6 @@ Result<StatsShard> TrainSession::BuildShard(ColumnSource* partition,
     partition->Reset();
     shard.stats = BuildCorpusStats(partition, options.stats);
   }
-  shard.stats.Canonicalize();
   shard.options_digest = StatsOptionsDigest(options.stats);
   shard.provenance = std::move(provenance);
 
@@ -86,9 +85,9 @@ Result<StatsShard> TrainSession::BuildShard(ColumnSource* partition,
 }
 
 Status TrainSession::AdoptStats() {
-  std::vector<int> candidate_ids = stats_.LanguageIds();
+  std::vector<int> candidate_ids = shard_.stats.LanguageIds();
   AD_CHECK(!candidate_ids.empty());
-  corpus_columns_ = stats_.ForLanguage(candidate_ids[0]).num_columns();
+  corpus_columns_ = shard_.stats.ForLanguage(candidate_ids[0]).num_columns();
   if (corpus_columns_ == 0) {
     return Status::Invalid("training corpus is empty");
   }
@@ -106,14 +105,14 @@ Status TrainSession::BuildStats(ColumnSource* source) {
   {
     TraceSpan span(registry, "train.stage.stats_build_us");
     source->Reset();
-    stats_ = BuildCorpusStats(source, options_.stats);
+    shard_.stats = BuildCorpusStats(source, options_.stats);
   }
-  stats_.Canonicalize();
+  shard_.options_digest = StatsOptionsDigest(options_.stats);
   AD_RETURN_NOT_OK(AdoptStats());
-  provenance_ = ShardProvenance{};
-  provenance_.corpus_name = options_.corpus_name;
-  provenance_.total_columns = corpus_columns_;
-  provenance_.column_end = corpus_columns_;
+  shard_.provenance = ShardProvenance{};
+  shard_.provenance.corpus_name = options_.corpus_name;
+  shard_.provenance.total_columns = corpus_columns_;
+  shard_.provenance.column_end = corpus_columns_;
   return Status::OK();
 }
 
@@ -126,11 +125,8 @@ Status TrainSession::UseStats(StatsShard shard) {
         static_cast<unsigned long long>(shard.options_digest),
         static_cast<unsigned long long>(expected)));
   }
-  stats_ = std::move(shard.stats);
-  // Adopted statistics may come straight from an artifact round-trip;
-  // canonical layout is the session invariant every later stage relies on.
-  stats_.Canonicalize();
-  provenance_ = std::move(shard.provenance);
+  shard_ = std::move(shard);
+  shard_.options_digest = expected;
   return AdoptStats();
 }
 
@@ -138,14 +134,20 @@ Status TrainSession::AddShards(std::vector<StatsShard> shards) {
   if (!has_stats_) {
     return Status::Invalid("AddShards needs adopted statistics (UseStats/BuildStats)");
   }
-  StatsShard current;
-  current.provenance = std::move(provenance_);
-  current.options_digest = StatsOptionsDigest(options_.stats);
-  current.stats = std::move(stats_);
-  shards.push_back(std::move(current));
-  AD_ASSIGN_OR_RETURN(StatsShard merged, MergeShards(std::move(shards)));
-  stats_ = std::move(merged.stats);
-  provenance_ = std::move(merged.provenance);
+  std::vector<const StatsShard*> all = {&shard_};
+  for (const StatsShard& s : shards) all.push_back(&s);
+  AD_ASSIGN_OR_RETURN(ShardProvenance provenance, CheckMergeable(std::move(all)));
+
+  // Validated before any count moves. Fold each delta into the session's
+  // maps in place: counts are additive and Finalize canonicalizes what it
+  // freezes, so neither the fold order nor the resulting probe layout
+  // reaches the model bytes, and the base is never copied or rebuilt.
+  const std::vector<int> ids = shard_.stats.LanguageIds();
+  ThreadPool::ParallelFor(ids.size(), options_.num_threads, [&](size_t li) {
+    LanguageStats& dst = shard_.stats.MutableForLanguage(ids[li]);
+    for (const StatsShard& s : shards) dst.Merge(s.stats.ForLanguage(ids[li]));
+  });
+  shard_.provenance = std::move(provenance);
   return AdoptStats();
 }
 
@@ -153,9 +155,10 @@ Status TrainSession::Supervise(ColumnSource* source) {
   if (!has_stats_) {
     return Status::Invalid("Supervise needs adopted statistics (UseStats/BuildStats)");
   }
-  // First point-query stage: statistics adopted from artifacts (UseStats /
-  // AddShards) arrive hash-deferred; supervision and calibration probe them.
-  stats_.EnsureHashed();
+  // First point-query stage: statistics adopted from artifacts (UseStats of
+  // a ReadShard / MergeShards result) arrive hash-deferred; supervision and
+  // calibration probe them.
+  shard_.stats.EnsureHashed();
   MetricsRegistry* registry = OrDefaultRegistry(options_.stats.metrics);
 
   // Distant supervision uses crude-G statistics. If crude G was not among
@@ -165,8 +168,8 @@ Status TrainSession::Supervise(ColumnSource* source) {
   const LanguageStats* crude_stats = nullptr;
   {
     TraceSpan span(registry, "train.stage.supervision_us");
-    if (stats_.Has(crude_id)) {
-      crude_stats = &stats_.ForLanguage(crude_id);
+    if (shard_.stats.Has(crude_id)) {
+      crude_stats = &shard_.stats.ForLanguage(crude_id);
     } else {
       StatsBuilderOptions crude_opts = options_.stats;
       crude_opts.language_ids = {crude_id};
@@ -184,14 +187,14 @@ Status TrainSession::Supervise(ColumnSource* source) {
   // once under every candidate language via the shared-tokenization kernel;
   // per-language workers then score from keys alone instead of
   // re-generalizing every pair 144 times.
-  lang_ids_ = stats_.LanguageIds();
+  lang_ids_ = shard_.stats.LanguageIds();
   calibrations_.assign(lang_ids_.size(), CalibrationResult{});
   {
     TraceSpan span(registry, "train.stage.calibration_us");
     PreKeyedTrainingSet prekeyed(training_set_, lang_ids_,
                                  options_.stats.generalize_options);
     ThreadPool::ParallelFor(lang_ids_.size(), options_.num_threads, [&](size_t i) {
-      calibrations_[i] = CalibrateLanguage(i, stats_.ForLanguage(lang_ids_[i]),
+      calibrations_[i] = CalibrateLanguage(i, shard_.stats.ForLanguage(lang_ids_[i]),
                                            prekeyed, options_.calibration);
     });
   }
@@ -209,15 +212,16 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
   }
 
   // Assemble selection candidates from usable calibrations. Candidates are
-  // priced at their EXACT resident bytes even when sketch knobs are on:
-  // sketching is an artifact-compression step applied to the chosen
-  // ensemble, not a discount that lets the knapsack trade estimator
-  // accuracy for extra languages. Pricing at sketched bytes would make the
-  // selected language set a function of the compression knob, so an exact
-  // model and its sketched sibling would no longer be comparable (and the
-  // extra languages' sketch blobs routinely cost more than the compression
-  // saves). Fixed ensemble, shrinking bytes — the shape of the paper's
-  // Fig. 8(a) experiment.
+  // priced at their EXACT frozen bytes (FlatMap64::MemoryBytes, a function
+  // of the entry count, so the price cannot depend on how a map grew) even
+  // when sketch knobs are on: sketching is an artifact-compression step
+  // applied to the chosen ensemble, not a discount that lets the knapsack
+  // trade estimator accuracy for extra languages. Pricing at sketched bytes
+  // would make the selected language set a function of the compression
+  // knob, so an exact model and its sketched sibling would no longer be
+  // comparable (and the extra languages' sketch blobs routinely cost more
+  // than the compression saves). Fixed ensemble, shrinking bytes — the
+  // shape of the paper's Fig. 8(a) experiment.
   std::vector<LanguageCandidate> candidates;
   std::vector<size_t> candidate_to_session;
   for (size_t i = 0; i < lang_ids_.size(); ++i) {
@@ -225,7 +229,7 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
     if (!cal.has_threshold || cal.covered_count == 0) continue;
     LanguageCandidate c;
     c.lang_id = lang_ids_[i];
-    c.size_bytes = stats_.ForLanguage(lang_ids_[i]).MemoryBytes();
+    c.size_bytes = shard_.stats.ForLanguage(lang_ids_[i]).MemoryBytes();
     c.covered = cal.covered_negatives;
     candidates.push_back(std::move(c));
     candidate_to_session.push_back(i);
@@ -255,7 +259,12 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
     ml.threshold = cal.threshold;
     ml.train_coverage = cal.covered_count;
     ml.curve = cal.curve;
-    ml.stats = stats_.ForLanguage(ml.lang_id);  // copy, then maybe compress
+    // Copy, canonicalize, then maybe compress. The session's maps keep
+    // whatever probe layout their build and folds left; the frozen bytes
+    // must not, and conservative-update sketching is order-dependent, so
+    // both read the canonical copy.
+    ml.stats = shard_.stats.ForLanguage(ml.lang_id);
+    ml.stats.Canonicalize();
     if (ShouldSketch(ml.stats, sketch_ratio)) {
       const uint64_t seed = 0xadde7ec7 + static_cast<uint64_t>(ml.lang_id);
       AD_RETURN_NOT_OK(ml.stats.CompressToSketch(sketch_ratio, seed));
@@ -283,7 +292,7 @@ void TrainSession::RecalibrateInPlace(double smoothing_factor) {
   PreKeyedTrainingSet prekeyed(training_set_, lang_ids_,
                                options_.stats.generalize_options);
   ThreadPool::ParallelFor(lang_ids_.size(), options_.num_threads, [&](size_t i) {
-    calibrations_[i] = CalibrateLanguage(i, stats_.ForLanguage(lang_ids_[i]),
+    calibrations_[i] = CalibrateLanguage(i, shard_.stats.ForLanguage(lang_ids_[i]),
                                          prekeyed, options_.calibration);
   });
 }

@@ -29,12 +29,15 @@
 ///
 /// `TrainModel` remains as the thin one-shot adapter over the same stages.
 /// Determinism contract: a model finalized from N merged shards is
-/// byte-identical to the one-shot model, for any shard order — statistics
-/// are canonicalized (FlatMap64::Canonicalize) at every adoption point, and
-/// every later stage is a pure function of those statistics and the column
-/// stream. Re-selection under new budgets or sketch ratios re-runs only
-/// Finalize on the same session, so ablation benches never re-scan the
-/// corpus (paper Figs. 7 and 8a).
+/// byte-identical to the one-shot model, for any shard order. The session
+/// keeps exact, hashed counts in whatever probe layout they were built or
+/// folded in; supervision, calibration and selection read them only through
+/// point queries and entry counts, and Finalize canonicalizes
+/// (FlatMap64::Canonicalize) each selected language's copy before it
+/// sketches or freezes it. Every stage is therefore a pure function of the
+/// counts and the column stream. Re-selection under new budgets or sketch
+/// ratios re-runs only Finalize on the same session, so ablation benches
+/// never re-scan the corpus (paper Figs. 7 and 8a).
 
 namespace autodetect {
 
@@ -67,8 +70,8 @@ class TrainSession {
   explicit TrainSession(TrainOptions options);
 
   /// \brief The map stage: streams `partition` once and returns a
-  /// canonicalized statistics shard for it. Stateless — workers call this
-  /// independently and persist the result via WriteShard. `provenance`
+  /// statistics shard for it. Stateless — workers call this independently
+  /// and persist the result via WriteShard. `provenance`
   /// records which column slice of which corpus this is; MergeShards
   /// enforces compatibility from it.
   static Result<StatsShard> BuildShard(ColumnSource* partition,
@@ -76,8 +79,8 @@ class TrainSession {
                                        ShardProvenance provenance);
 
   /// \brief One-shot statistics: streams `source` (after Reset) through
-  /// BuildCorpusStats and adopts the canonicalized result. Equivalent to
-  /// BuildShard over the whole corpus + UseStats.
+  /// BuildCorpusStats and adopts the result. Equivalent to BuildShard over
+  /// the whole corpus + UseStats.
   Status BuildStats(ColumnSource* source);
 
   /// \brief Adopts previously built statistics (typically the output of
@@ -87,9 +90,12 @@ class TrainSession {
   Status UseStats(StatsShard shard);
 
   /// \brief The delta path: folds new shards into the adopted statistics
-  /// (same merge contract as MergeShards — the combined ranges must tile
-  /// one contiguous range). Supervision must be re-run afterwards; the
-  /// statistics pass over the OLD columns is what this saves.
+  /// in place (LanguageStats::Merge per language, in parallel). The session
+  /// plus the new shards must pass CheckMergeable — the combined ranges
+  /// must tile one contiguous range — and a refused set changes nothing.
+  /// Supervision must be re-run afterwards; the statistics pass over the OLD
+  /// columns is what this saves, and the in-place fold means the old
+  /// statistics are neither copied nor rebuilt.
   Status AddShards(std::vector<StatsShard> shards);
 
   /// \brief Distant supervision + per-language calibration against the
@@ -101,7 +107,8 @@ class TrainSession {
 
   /// \brief Selects languages under `memory_budget_bytes`/`sketch_ratio`
   /// (overriding the option defaults) and assembles a Model. Candidates are
-  /// priced at their exact bytes; sketching then compresses the chosen
+  /// priced at their exact frozen bytes; each chosen language is copied and
+  /// canonicalized (the freeze point), then sketching compresses the chosen
   /// ensemble.
   Result<Model> Finalize(size_t memory_budget_bytes, double sketch_ratio) const;
   Result<Model> Finalize() const;
@@ -117,8 +124,8 @@ class TrainSession {
   bool supervised() const { return supervised_; }
 
   const TrainOptions& options() const { return options_; }
-  const CorpusStats& stats() const { return stats_; }
-  const ShardProvenance& provenance() const { return provenance_; }
+  const CorpusStats& stats() const { return shard_.stats; }
+  const ShardProvenance& provenance() const { return shard_.provenance; }
   const TrainingSet& training_set() const { return training_set_; }
   const std::vector<int>& lang_ids() const { return lang_ids_; }
   const std::vector<CalibrationResult>& calibrations() const { return calibrations_; }
@@ -129,8 +136,10 @@ class TrainSession {
   Status AdoptStats();
 
   TrainOptions options_;
-  CorpusStats stats_;
-  ShardProvenance provenance_;
+  /// The adopted statistics as one shard: counts, the provenance they cover
+  /// and this session's options digest (what AddShards checks deltas
+  /// against).
+  StatsShard shard_;
   TrainingSet training_set_;
   std::vector<int> lang_ids_;  ///< calibrated candidates, aligned with below
   std::vector<CalibrationResult> calibrations_;

@@ -54,10 +54,10 @@ class LanguageStats {
     return frozen_ ? co_view_.size() : co_counts_.size();
   }
 
-  /// \brief Estimated resident bytes of the statistics — the size(L) used
-  /// by the selection knapsack. Dictionaries are costed at their actual
-  /// open-addressing backing arrays (16 bytes/slot at <= 0.75 load);
-  /// sketches at their counter array.
+  /// \brief Bytes of the statistics as frozen — the size(L) used by the
+  /// selection knapsack. Dictionaries are costed at the canonical
+  /// open-addressing array their entry count needs (16 bytes/slot at <= 0.75
+  /// load, FlatMap64::MemoryBytes); sketches at their counter array.
   size_t MemoryBytes() const;
 
   /// \brief Bytes of the co-occurrence store alone (dictionary or sketch);
@@ -101,9 +101,10 @@ class LanguageStats {
 
   /// \brief Rebuilds both dictionaries into the canonical probe layout
   /// (FlatMap64::Canonicalize), making the frozen/serialized bytes a pure
-  /// function of the counts. Training canonicalizes at every statistics
-  /// adoption point so that N merged shards and a one-shot pass freeze to
-  /// identical bytes. Only valid on owned, exact (unsketched) stats.
+  /// function of the counts. TrainSession::Finalize canonicalizes each
+  /// selected language's copy before freezing it, so N merged shards and a
+  /// one-shot pass freeze to identical bytes. Only valid on owned, exact
+  /// (unsketched) stats.
   void Canonicalize();
 
   /// \brief Streams owned stats (shard artifacts).

@@ -63,18 +63,6 @@ void CorpusStats::Retain(const std::vector<int>& keep) {
   per_language_ = std::move(kept);
 }
 
-void CorpusStats::Canonicalize() {
-  // Per-language dictionaries are independent; the collect-sort-reinsert
-  // rebuild is the expensive part of adopting merged statistics, so spread
-  // the languages across cores. Already-canonical dictionaries (e.g. fresh
-  // from FlatMap64::FromSorted) return immediately.
-  std::vector<LanguageStats*> all;
-  all.reserve(per_language_.size());
-  for (auto& [id, stats] : per_language_) all.push_back(&stats);
-  ThreadPool::ParallelFor(all.size(), /*num_threads=*/0,
-                          [&](size_t i) { all[i]->Canonicalize(); });
-}
-
 void CorpusStats::EnsureHashed() {
   std::vector<LanguageStats*> all;
   all.reserve(per_language_.size());

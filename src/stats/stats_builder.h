@@ -55,11 +55,6 @@ class CorpusStats {
   /// how selection bugs hide.
   void Retain(const std::vector<int>& keep);
 
-  /// \brief Canonicalizes every language's dictionaries (see
-  /// LanguageStats::Canonicalize): afterwards serialized/frozen bytes depend
-  /// only on the counts, not on how they were accumulated or merged.
-  void Canonicalize();
-
   /// \brief Materializes every language's hash-deferred dictionaries (see
   /// LanguageStats::EnsureHashed). Deserialize defers the probe-array
   /// builds; the training session calls this at its first point-query stage

@@ -230,43 +230,38 @@ Result<StatsShard> ReadShard(const std::string& path) {
     }
     shard.stats = std::move(*stats);
   }
-  // Deserialization rebuilds the canonical probe layout directly (the wire
-  // format is sorted), so this is normally a no-op — kept as a safety net so
-  // an artifact round-trip can never perturb downstream bytes.
-  shard.stats.Canonicalize();
   return shard;
 }
 
-Result<StatsShard> MergeShards(std::vector<StatsShard> shards) {
+Result<ShardProvenance> CheckMergeable(std::vector<const StatsShard*> shards) {
   if (shards.empty()) return Status::Invalid("no shards to merge");
-
-  // Order independence by construction: sort by column range before
-  // touching any counts, then canonicalize the merged dictionaries.
   std::sort(shards.begin(), shards.end(),
-            [](const StatsShard& a, const StatsShard& b) {
-              return a.provenance.column_begin < b.provenance.column_begin;
+            [](const StatsShard* a, const StatsShard* b) {
+              return a->provenance.column_begin < b->provenance.column_begin;
             });
 
-  const std::vector<int> lang_ids = shards[0].stats.LanguageIds();
+  const StatsShard& first = *shards[0];
+  const std::vector<int> lang_ids = first.stats.LanguageIds();
+  ShardProvenance merged = first.provenance;
   for (size_t i = 1; i < shards.size(); ++i) {
-    const StatsShard& s = shards[i];
-    if (s.options_digest != shards[0].options_digest) {
+    const StatsShard& s = *shards[i];
+    if (s.options_digest != first.options_digest) {
       return Status::Invalid(StrFormat(
           "cannot merge shards built under different statistics options "
           "(digest %016llx vs %016llx)",
-          static_cast<unsigned long long>(shards[0].options_digest),
+          static_cast<unsigned long long>(first.options_digest),
           static_cast<unsigned long long>(s.options_digest)));
     }
-    if (!SameCorpus(s.provenance, shards[0].provenance)) {
+    if (!SameCorpus(s.provenance, first.provenance)) {
       return Status::Invalid(
           "cannot merge shards of different corpora (" +
-          shards[0].provenance.corpus_name + "/" + shards[0].provenance.profile +
+          first.provenance.corpus_name + "/" + first.provenance.profile +
           " vs " + s.provenance.corpus_name + "/" + s.provenance.profile + ")");
     }
     if (s.stats.LanguageIds() != lang_ids) {
       return Status::Invalid("cannot merge shards with different language sets");
     }
-    const ShardProvenance& prev = shards[i - 1].provenance;
+    const ShardProvenance& prev = shards[i - 1]->provenance;
     if (s.provenance.column_begin < prev.column_end) {
       return Status::Invalid(StrFormat(
           "shard column ranges overlap: [%llu, %llu) and [%llu, %llu)",
@@ -283,16 +278,26 @@ Result<StatsShard> MergeShards(std::vector<StatsShard> shards) {
           static_cast<unsigned long long>(s.provenance.column_begin),
           static_cast<unsigned long long>(s.provenance.column_end)));
     }
+    merged.column_end = s.provenance.column_end;
+    merged.total_columns = std::max(merged.total_columns, s.provenance.total_columns);
   }
+  return merged;
+}
+
+Result<StatsShard> MergeShards(std::vector<StatsShard> shards) {
+  std::vector<const StatsShard*> all;
+  all.reserve(shards.size());
+  for (const StatsShard& s : shards) all.push_back(&s);
+  AD_ASSIGN_OR_RETURN(ShardProvenance provenance, CheckMergeable(std::move(all)));
 
   StatsShard merged = std::move(shards[0]);
+  const std::vector<int> lang_ids = merged.stats.LanguageIds();
   // Languages are independent dictionaries; merge each across all shards on
-  // its own core. Counts are additive, so the fold order within a language
-  // does not matter — MergeCanonical lands every fold directly in the
-  // canonical layout (a sorted merge-join, reusing the sorted entry arrays
-  // deserialization left cached), erasing any layout history without the
-  // full collect-sort-reinsert rebuild a Merge + Canonicalize pass would
-  // pay on the large side.
+  // its own core. Counts are additive, so the fold order does not matter.
+  // MergeCanonical is a sorted merge-join that reuses the sorted entry
+  // arrays deserialization left cached and leaves the result hash-deferred:
+  // the file reducer's inputs arrive sorted and its output is re-serialized,
+  // so no probe array is built on this path.
   ThreadPool::ParallelFor(lang_ids.size(), /*num_threads=*/0, [&](size_t li) {
     const int id = lang_ids[li];
     LanguageStats& dst = merged.stats.MutableForLanguage(id);
@@ -300,11 +305,7 @@ Result<StatsShard> MergeShards(std::vector<StatsShard> shards) {
       dst.MergeCanonical(shards[i].stats.ForLanguage(id));
     }
   });
-  for (size_t i = 1; i < shards.size(); ++i) {
-    merged.provenance.column_end = shards[i].provenance.column_end;
-    merged.provenance.total_columns = std::max(
-        merged.provenance.total_columns, shards[i].provenance.total_columns);
-  }
+  merged.provenance = std::move(provenance);
   return merged;
 }
 

@@ -24,12 +24,14 @@
 /// everything else (bad magic, wrong version, checksum mismatch) is
 /// Corruption, always naming the file and section.
 ///
-/// Determinism contract: `MergeShards` produces bit-identical statistics
-/// for ANY order of the same input shards, and those statistics are
-/// bit-identical to a one-shot `BuildCorpusStats` pass over the whole
-/// corpus. Both legs lean on canonical dictionary layout
-/// (FlatMap64::Canonicalize): merging is content-additive, and
-/// canonicalization erases the accumulation history from the bytes.
+/// Determinism contract: `MergeShards` produces the same counts for ANY
+/// order of the same input shards, and those counts equal a one-shot
+/// `BuildCorpusStats` pass over the whole corpus: merging is
+/// content-additive. The serialized form is sorted, so equal counts write
+/// equal bytes whatever probe layout the in-memory dictionaries have; the
+/// model's frozen bytes get the same guarantee from the training session,
+/// which canonicalizes (FlatMap64::Canonicalize) each selected language at
+/// the freeze point.
 
 namespace autodetect {
 
@@ -73,17 +75,25 @@ Status WriteShard(const std::string& path, const StatsShard& shard);
 
 /// \brief Reads and validates an ADSHARD1 file. Fail-closed: checksums are
 /// verified before any byte is interpreted, and every error names `path`
-/// and the offending section. The returned statistics are canonicalized.
+/// and the offending section. The returned dictionaries hold only their
+/// sorted entries (hash-deferred) until first probed.
 Result<StatsShard> ReadShard(const std::string& path);
 
-/// \brief The deterministic reducer: merges shards of one corpus into a
-/// single shard covering their combined range. Requirements, all checked:
-/// at least one shard, equal options digests, equal corpus identity
+/// \brief The merge contract, checked without touching any count: at least
+/// one shard, equal options digests, equal corpus identity
 /// (corpus_name/profile/seed), equal language sets, and column ranges that
 /// are pairwise disjoint and gap-free (they must tile one contiguous
 /// range). `total_columns` may differ — a grown corpus's new shards carry
-/// the new total; the merge keeps the maximum. The output is canonicalized,
-/// so ANY input order yields bit-identical statistics.
+/// the new total; the union keeps the maximum. Returns the provenance of
+/// the union. Callers that fold in place (TrainSession::AddShards) run it
+/// before any count moves, so a refused set leaves every input untouched.
+Result<ShardProvenance> CheckMergeable(std::vector<const StatsShard*> shards);
+
+/// \brief The deterministic file reducer: merges shards of one corpus into
+/// a single shard covering their combined range (CheckMergeable's contract).
+/// Each language is a sorted merge-join (LanguageStats::MergeCanonical) left
+/// hash-deferred, so ANY input order yields the same counts and the same
+/// serialized bytes without building a probe array.
 Result<StatsShard> MergeShards(std::vector<StatsShard> shards);
 
 /// \brief Convenience: ReadShard each path, then MergeShards.

@@ -574,6 +574,56 @@ TEST(FlatMapTest, MemoryBytesMonotoneUnderInserts) {
   EXPECT_GT(last, 5000u * 16u * 3u / 4u);  // at least n slots at <=0.75 load
 }
 
+TEST(FlatMapTest, IncrementingAnExistingKeyAtFullLoadDoesNotGrow) {
+  // 12 keys fill 16 slots to exactly 0.75 load; only a 13th key may grow.
+  FlatMap64 m;
+  for (uint64_t k = 1; k <= 12; ++k) m[Mix64(k)] = k;
+  ASSERT_EQ(m.capacity(), 16u);
+  ++m[Mix64(5)];
+  EXPECT_EQ(m.capacity(), 16u);
+  EXPECT_EQ(m.GetOr(Mix64(5)), 6u);
+  m[Mix64(13)] = 13;
+  EXPECT_EQ(m.capacity(), 32u);
+  for (uint64_t k = 1; k <= 13; ++k) {
+    EXPECT_EQ(m.GetOr(Mix64(k)), k == 5 ? 6u : k);
+  }
+}
+
+/// The knapsack prices a map by MemoryBytes() before Finalize canonicalizes
+/// it, so the price must equal the canonical copy's, whatever the history.
+void ExpectPricedLikeCanonicalCopy(const FlatMap64& m, const std::string& how) {
+  FlatMap64 canonical = m;
+  canonical.Canonicalize();
+  EXPECT_EQ(m.MemoryBytes(), canonical.MemoryBytes()) << how;
+  EXPECT_EQ(m.MemoryBytes(), canonical.capacity() * sizeof(FlatMap64::Slot)) << how;
+}
+
+TEST(FlatMapTest, MemoryBytesEqualsTheCanonicalCopys) {
+  for (uint64_t n : {0, 1, 11, 12, 13, 24, 25, 97, 1000}) {
+    const std::string label = std::to_string(n) + " keys";
+    FlatMap64 inserted;
+    for (uint64_t k = 1; k <= n; ++k) ++inserted[Mix64(k)];
+    for (uint64_t k = 1; k <= n; ++k) ++inserted[Mix64(k)];  // existing keys
+    ExpectPricedLikeCanonicalCopy(inserted, "insertion, " + label);
+
+    FlatMap64 merged;
+    FlatMap64 left, right;
+    for (uint64_t k = 1; k <= n; ++k) ++(k % 3 == 0 ? left : right)[Mix64(k)];
+    for (uint64_t k = 1; k <= n; k += 2) ++left[Mix64(k)];  // overlapping keys
+    merged.MergeAdd(left);
+    merged.MergeAdd(right);
+    ExpectPricedLikeCanonicalCopy(merged, "MergeAdd, " + label);
+
+    FlatMap64 reserved;
+    reserved.Reserve(4 * n + 100);
+    for (uint64_t k = 1; k <= n; ++k) reserved[Mix64(k)] = k;
+    ExpectPricedLikeCanonicalCopy(reserved, "Reserve, " + label);
+  }
+  FlatMap64 zero_only;
+  zero_only[0] = 7;
+  ExpectPricedLikeCanonicalCopy(zero_only, "zero key only");
+}
+
 // ------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "corpus/corpus_generator.h"
 #include "detect/trainer.h"
 #include "io/serde.h"
@@ -322,6 +323,136 @@ TEST(ShardSessionTest, UseStatsRejectsDigestMismatch) {
   Status adopted = session.UseStats(std::move(*shard));
   ASSERT_FALSE(adopted.ok());
   EXPECT_NE(adopted.ToString().find("options"), std::string::npos);
+}
+
+/// Supervise + Finalize + Save on `session`; returns the model file bytes.
+std::string FinalizedModelBytes(TrainSession* session, const GeneratorOptions& gen) {
+  GeneratedColumnSource source(gen);
+  Status supervised = session->Supervise(&source);
+  EXPECT_TRUE(supervised.ok()) << supervised.ToString();
+  auto model = session->Finalize();
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  if (!model.ok()) return "";
+  const std::string path = TempPath("ad_shard_session.model");
+  EXPECT_TRUE(model->Save(path).ok());
+  std::string bytes = ReadFileBytes(path);
+  fs::remove(path);
+  return bytes;
+}
+
+/// AddShards validates the whole set before any count moves: every refusal
+/// leaves the session's statistics exactly as they were, so it finalizes to
+/// the same model as a session that never saw the bad shard.
+TEST(ShardSessionTest, RefusedAddShardsLeavesSessionUntouched) {
+  const GeneratorOptions gen = TestGenerator(260, 8);
+  TrainOptions train = TestTrainOptions();
+  train.memory_budget_bytes = 8ull << 20;
+  const std::vector<StatsShard> parts = BuildPartitionShards(gen, train, {0, 200, 260});
+  const StatsShard& base = parts[0];
+  const StatsShard& delta = parts[1];
+
+  TrainSession reference(train);
+  ASSERT_TRUE(reference.UseStats(base).ok());
+  const std::string expected = FinalizedModelBytes(&reference, gen);
+  ASSERT_FALSE(expected.empty());
+
+  struct Refusal {
+    const char* name;
+    const char* message;
+    void (*spoil)(StatsShard*);
+  };
+  const Refusal refusals[] = {
+      {"gap", "gap", [](StatsShard* s) { s->provenance.column_begin = 210; }},
+      {"overlap", "overlap", [](StatsShard* s) { s->provenance.column_begin = 190; }},
+      {"digest", "options", [](StatsShard* s) { s->options_digest ^= 1; }},
+      {"corpus", "different corpora", [](StatsShard* s) { s->provenance.seed ^= 1; }},
+      {"language set", "language sets",
+       [](StatsShard* s) {
+         std::vector<int> ids = s->stats.LanguageIds();
+         ids.pop_back();
+         s->stats.Retain(ids);
+       }},
+  };
+  TrainSession session(train);
+  ASSERT_TRUE(session.UseStats(base).ok());
+  for (const Refusal& refusal : refusals) {
+    std::vector<StatsShard> bad = {delta};
+    refusal.spoil(&bad[0]);
+    Status added = session.AddShards(std::move(bad));
+    ASSERT_FALSE(added.ok()) << refusal.name;
+    EXPECT_NE(added.ToString().find(refusal.message), std::string::npos)
+        << refusal.name << ": " << added.ToString();
+    EXPECT_TRUE(session.has_stats()) << refusal.name;
+    EXPECT_EQ(session.stats().LanguageIds(), base.stats.LanguageIds()) << refusal.name;
+    EXPECT_EQ(session.corpus_columns(), 200u) << refusal.name;
+    EXPECT_EQ(session.provenance().column_end, 200u) << refusal.name;
+    EXPECT_EQ(FinalizedModelBytes(&session, gen), expected)
+        << "a refused " << refusal.name << " shard changed the session";
+  }
+}
+
+/// The delta path's byte identity over many corpora and split points, not
+/// one. The in-place fold leaves the session's maps with a different
+/// probe-array history than a one-shot build, and the file reducer's
+/// merge-join leaves them canonical; all three must price every candidate
+/// alike and write the same model.
+TEST(ShardSessionTest, DeltaRetrainByteIdenticalAcrossCorporaAndSplits) {
+  std::mt19937 rng(20181019);
+  TrainOptions train = TestTrainOptions();
+  for (int trial = 0; trial < 8; ++trial) {
+    const size_t columns = 120 + rng() % 400;
+    const uint64_t split = columns / 2 + rng() % (columns / 2);
+    const GeneratorOptions gen = TestGenerator(columns, 300 + rng() % 1000);
+    // Budgets from one that admits only the smallest languages to a roomy
+    // one, so candidates' prices decide what is selected.
+    train.memory_budget_bytes = (256ull << 10) << (trial % 4 * 2);
+    SCOPED_TRACE(StrFormat("trial %d: seed %llu, %zu columns, split %llu, budget %zu",
+                           trial, static_cast<unsigned long long>(gen.seed), columns,
+                           static_cast<unsigned long long>(split),
+                           train.memory_budget_bytes));
+
+    TrainSession one_shot(train);
+    {
+      GeneratedColumnSource source(gen);
+      ASSERT_TRUE(one_shot.BuildStats(&source).ok());
+    }
+    const std::string expected = FinalizedModelBytes(&one_shot, gen);
+    ASSERT_FALSE(expected.empty());
+
+    std::vector<StatsShard> parts = BuildPartitionShards(gen, train, {0, split, columns});
+    const std::string paths[] = {TempPath("ad_shard_trial_a.ads"),
+                                 TempPath("ad_shard_trial_b.ads")};
+    ASSERT_TRUE(WriteShard(paths[0], parts[0]).ok());
+    ASSERT_TRUE(WriteShard(paths[1], parts[1]).ok());
+    auto reduced = MergeShardFiles({paths[1], paths[0]});
+    ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
+    TrainSession from_files(train);
+    ASSERT_TRUE(from_files.UseStats(std::move(*reduced)).ok());
+    EXPECT_EQ(FinalizedModelBytes(&from_files, gen), expected) << "file reducer";
+
+    // Alternate which side of the fold comes from a file (hash-deferred,
+    // sorted entries only) and which straight from BuildShard.
+    const size_t from_file = trial % 2;
+    auto loaded = ReadShard(paths[from_file]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    parts[from_file] = std::move(*loaded);
+    TrainSession delta(train);
+    ASSERT_TRUE(delta.UseStats(std::move(parts[0])).ok());
+    std::vector<StatsShard> additions;
+    additions.push_back(std::move(parts[1]));
+    ASSERT_TRUE(delta.AddShards(std::move(additions)).ok());
+    EXPECT_EQ(FinalizedModelBytes(&delta, gen), expected) << "in-place fold";
+
+    for (int id : delta.stats().LanguageIds()) {
+      LanguageStats canonical = delta.stats().ForLanguage(id);
+      canonical.Canonicalize();
+      EXPECT_EQ(delta.stats().ForLanguage(id).MemoryBytes(), canonical.MemoryBytes())
+          << "language " << id;
+      EXPECT_EQ(one_shot.stats().ForLanguage(id).MemoryBytes(), canonical.MemoryBytes())
+          << "language " << id;
+    }
+    for (const std::string& path : paths) fs::remove(path);
+  }
 }
 
 class ShardFailClosedTest : public ::testing::Test {
