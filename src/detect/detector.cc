@@ -375,60 +375,65 @@ ColumnReport Detector::Scan(const std::vector<std::string>& values,
   const auto scan_start =
       budgeted ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point();
 
-  // Reduce the column to the distinct values to score, each with its
-  // first-occurrence row: the interner indexes the column once through the
-  // FlatMap64 (no string copies, no per-row node allocations).
-  scratch->interner.Intern(values);
-  scratch->interner.SampleIndices(options_.max_distinct_values, &scratch->sampled);
-  std::vector<std::string_view> distinct;
-  std::vector<uint32_t> first_rows;
-  distinct.reserve(scratch->sampled.size());
-  first_rows.reserve(scratch->sampled.size());
-  for (uint32_t idx : scratch->sampled) {
-    const ValueInterner::Entry& e = scratch->interner.entry(idx);
-    distinct.push_back(e.value);
-    first_rows.push_back(e.first_row);
-  }
-  const uint64_t nv = scratch->interner.num_values();
-  const uint64_t nd = scratch->interner.num_distinct();
-  const uint64_t ds = distinct.size();
+  // Reduce the column to the distinct values to score: the interner
+  // indexes the column once through the FlatMap64 (no string copies, no
+  // per-row node allocations) and keeps each value's first-occurrence row.
+  ValueInterner& interner = scratch->interner;
+  std::vector<uint32_t>& sampled = scratch->sampled;
+  interner.Intern(values);
+  interner.SampleIndices(options_.max_distinct_values, &sampled);
+  auto entry = [&](size_t i) -> const ValueInterner::Entry& {
+    return interner.entry(sampled[i]);
+  };
+  const uint64_t nv = interner.num_values();
+  const uint64_t nd = interner.num_distinct();
+  const size_t d = sampled.size();
   metrics_.dedup_values_skipped->Add(nv - nd);
   // Pairs a non-deduping scorer would have visited minus pairs this scan
   // actually considers.
-  metrics_.dedup_pairs_skipped->Add(nv * (nv - 1) / 2 - ds * (ds - 1) / 2);
+  metrics_.dedup_pairs_skipped->Add(nv * (nv - 1) / 2 - uint64_t{d} * (d - 1) / 2);
   metrics_.dedup_distinct_ratio->Record(
       nv == 0 ? 100.0 : 100.0 * static_cast<double>(nd) / static_cast<double>(nv));
-  report.distinct_values = distinct.size();
-  const size_t d = distinct.size();
+  report.distinct_values = d;
   if (d < 2) return report;
 
   // Pre-generalize all distinct values under every model language into the
-  // scratch's flat key matrix (row i = value i's per-language keys).
+  // scratch's flat key matrix (row i = value i's per-language keys), then
+  // group equal rows into classes, numbered in first-occurrence order. A
+  // signature match is confirmed by a row compare: classes never merge on
+  // the hash alone.
   const size_t n = model_->languages.size();
+  uint64_t* keys;
   {
     StageTimer key_timer(metrics_.key_stage_us);
     scratch->keys.resize(d * n);
-    uint64_t* keys = scratch->keys.data();
+    keys = scratch->keys.data();
     for (size_t i = 0; i < d; ++i) {
-      KeysInto(distinct[i], &scratch->runs, keys + i * n);
+      KeysInto(entry(i).value, &scratch->runs, keys + i * n);
     }
-
-    // With a cache, each value gets a signature over its key row; a pair is
-    // looked up by the order-independent combination of the two signatures.
-    if (cache != nullptr) {
-      scratch->signatures.resize(d);
-      for (size_t i = 0; i < d; ++i) {
-        scratch->signatures[i] = RowSignature(keys + i * n, n);
+    scratch->class_of.resize(d);
+    scratch->class_rep.clear();
+    scratch->class_sig.clear();
+    for (size_t i = 0; i < d; ++i) {
+      const uint64_t* row = keys + i * n;
+      const uint64_t sig = RowSignature(row, n);
+      const uint32_t seen = static_cast<uint32_t>(scratch->class_rep.size());
+      uint32_t c = 0;
+      while (c < seen && (scratch->class_sig[c] != sig ||
+                          !std::equal(row, row + n, keys + scratch->class_rep[c] * n))) {
+        ++c;
       }
+      if (c == seen) {
+        scratch->class_rep.push_back(static_cast<uint32_t>(i));
+        scratch->class_sig.push_back(sig);
+      }
+      scratch->class_of[i] = c;
     }
   }
-  uint64_t* keys = scratch->keys.data();
-
-  struct CellAgg {
-    uint32_t degree = 0;
-    double best_conf = 0;
-  };
-  std::vector<CellAgg> agg(d);
+  const size_t classes = scratch->class_rep.size();
+  scratch->verdicts.assign(classes * (classes + 1) / 2, ColumnScratch::ClassVerdict{});
+  scratch->agg.assign(d, ColumnScratch::CellAgg{});
+  std::vector<ColumnScratch::CellAgg>& agg = scratch->agg;
 
   // Per-column aggregates, flushed into the registry in one Add each — the
   // pair loop is the hot path and must not touch shared cache lines per
@@ -440,8 +445,8 @@ ColumnReport Detector::Scan(const std::vector<std::string>& values,
     for (size_t i = 0; i < d; ++i) {
       // Safe point, once per row (≤ max_distinct_values polls per column):
       // a tripped token keeps the findings accumulated so far; a spent
-      // budget downgrades the remaining rows to the single-language
-      // fallback instead of aborting them.
+      // budget downgrades the class pairs not yet scored to the
+      // single-language fallback instead of aborting them.
       if (cancel.active() && cancel.Cancelled()) {
         tripped = true;
         break;
@@ -452,34 +457,49 @@ ColumnReport Detector::Scan(const std::vector<std::string>& values,
                   .count() >= static_cast<int64_t>(options_.column_budget_us)) {
         degraded = true;
       }
+      const uint32_t ci = scratch->class_of[i];
       for (size_t j = i + 1; j < d; ++j) {
-        PairVerdict v;
-        if (degraded) {
-          // Degraded verdicts come from a weaker ensemble: bypass the cache
-          // entirely so they can never be served to a full-fidelity scan.
-          ++pairs_scored;
-          v = ScoreKeysDegraded(keys + i * n, keys + j * n);
-        } else if (cache != nullptr) {
-          uint64_t pair_key =
-              CombineUnordered(scratch->signatures[i], scratch->signatures[j]);
-          if (cache->Lookup(pair_key, &v)) {
-            ++cache_hits;
+        // The first value pair to reach a class pair scores it (or probes
+        // the cache for it) on the two class representatives' rows; every
+        // later pair of the same classes reads the slot.
+        const uint32_t cj = scratch->class_of[j];
+        const uint32_t lo = std::min(ci, cj), hi = std::max(ci, cj);
+        ColumnScratch::ClassVerdict& slot = scratch->verdicts[hi * (hi + 1) / 2 + lo];
+        if (!slot.scored) {
+          const uint64_t* ki = keys + scratch->class_rep[ci] * n;
+          const uint64_t* kj = keys + scratch->class_rep[cj] * n;
+          PairVerdict v;
+          if (degraded) {
+            // Degraded verdicts come from a weaker ensemble: bypass the
+            // cache entirely so they can never be served to a full-fidelity
+            // scan.
+            ++pairs_scored;
+            v = ScoreKeysDegraded(ki, kj);
+          } else if (cache != nullptr) {
+            uint64_t pair_key =
+                CombineUnordered(scratch->class_sig[ci], scratch->class_sig[cj]);
+            if (cache->Lookup(pair_key, &v)) {
+              ++cache_hits;
+            } else {
+              ++pairs_scored;
+              v = ScoreKeys(ki, kj, &rare_fallbacks);
+              cache->Insert(pair_key, v);
+            }
           } else {
             ++pairs_scored;
-            v = ScoreKeys(keys + i * n, keys + j * n, &rare_fallbacks);
-            cache->Insert(pair_key, v);
+            v = ScoreKeys(ki, kj, &rare_fallbacks);
           }
-        } else {
-          ++pairs_scored;
-          v = ScoreKeys(keys + i * n, keys + j * n, &rare_fallbacks);
+          slot.scored = true;
+          slot.flagged = v.incompatible && v.confidence >= options_.min_confidence;
+          slot.confidence = v.confidence;
         }
-        if (!v.incompatible || v.confidence < options_.min_confidence) continue;
-        report.pairs.push_back(PairFinding{std::string(distinct[i]),
-                                           std::string(distinct[j]), v.confidence});
+        if (!slot.flagged) continue;
+        report.pairs.push_back(PairFinding{std::string(entry(i).value),
+                                           std::string(entry(j).value), slot.confidence});
         ++agg[i].degree;
         ++agg[j].degree;
-        agg[i].best_conf = std::max(agg[i].best_conf, v.confidence);
-        agg[j].best_conf = std::max(agg[j].best_conf, v.confidence);
+        agg[i].best_conf = std::max(agg[i].best_conf, slot.confidence);
+        agg[j].best_conf = std::max(agg[j].best_conf, slot.confidence);
       }
     }
   }
@@ -525,8 +545,8 @@ ColumnReport Detector::Scan(const std::vector<std::string>& values,
     }
     if (!is_suspect) continue;
     CellFinding f;
-    f.row = first_rows[i];
-    f.value = std::string(distinct[i]);
+    f.row = entry(i).first_row;
+    f.value = std::string(entry(i).value);
     f.confidence = agg[i].best_conf;
     f.incompatible_with = agg[i].degree;
     report.cells.push_back(std::move(f));

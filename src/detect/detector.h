@@ -51,11 +51,12 @@ struct DetectorOptions {
   /// Cap on reported pair findings per column.
   size_t max_pair_findings = 16;
   /// Per-column score budget in microseconds; 0 = unlimited. When a scan
-  /// exceeds the budget mid-column, remaining pairs are scored under the
-  /// degraded single-language fallback (the crude G of paper Sec. 3.1 when
-  /// the model carries it, else the highest-coverage language) and the
-  /// report is flagged ColumnStatus::kDegraded — bounded latency instead of
-  /// a silently slow column.
+  /// exceeds the budget mid-column, key-row class pairs not yet scored are
+  /// scored under the degraded single-language fallback (the crude G of
+  /// paper Sec. 3.1 when the model carries it, else the highest-coverage
+  /// language) and the report is flagged ColumnStatus::kDegraded — bounded
+  /// latency instead of a silently slow column. Class pairs scored before
+  /// the budget tripped keep their full verdict for the rest of the scan.
   uint64_t column_budget_us = 0;
   /// Metrics destination; null means the process default registry. Metric
   /// handles are resolved once at Detector construction.
@@ -75,17 +76,38 @@ struct PairVerdict {
   int best_language = -1;
 };
 
-/// Reusable buffers for column scans. The scan of one column needs a flat
-/// d × |languages| key matrix, per-value cache signatures and the
-/// tokenizer's run scratch; with a caller-provided ColumnScratch none of
-/// them is reallocated per column (or per value), which is what the serving
-/// engine's per-worker buffers rely on.
+/// Reusable buffers for column scans. The scan of one column interns it,
+/// keys each sampled distinct value into a flat d × |languages| matrix,
+/// groups the values into key-row classes (equal rows, so equal verdicts
+/// against any other value) and fills a class × class verdict table once
+/// per class pair. With a caller-provided ColumnScratch every buffer keeps
+/// its capacity across columns, so a warm scan allocates only for the
+/// findings it reports — what the serving engine's per-worker buffers rely
+/// on, and what alloc_test pins.
 struct ColumnScratch {
-  std::vector<uint64_t> keys;        ///< row-major, one row per distinct value
-  std::vector<uint64_t> signatures;  ///< per-value pair-cache signatures
-  std::vector<ClassRun> runs;        ///< tokenizer run scratch
+  /// Per-value tallies behind cell attribution.
+  struct CellAgg {
+    uint32_t degree = 0;  ///< incompatible pairs the value takes part in
+    double best_conf = 0;
+  };
+  /// One class-pair slot of the verdict table.
+  struct ClassVerdict {
+    bool scored = false;   ///< the slot holds its class pair's verdict
+    bool flagged = false;  ///< incompatible at or above min_confidence
+    double confidence = 0;
+  };
+
   ValueInterner interner;            ///< per-column distinct-value index
   std::vector<uint32_t> sampled;     ///< interner entry indices actually scored
+  std::vector<ClassRun> runs;        ///< tokenizer run scratch
+  std::vector<uint64_t> keys;        ///< row-major, one row per sampled value
+  std::vector<uint32_t> class_of;    ///< key-row class of each sampled value
+  std::vector<uint32_t> class_rep;   ///< first sampled value of each class
+  std::vector<uint64_t> class_sig;   ///< key-row signature of each class
+  /// Lower-triangular class × class table, sized by the classes seen:
+  /// slot (a, b) with a <= b sits at b(b+1)/2 + a.
+  std::vector<ClassVerdict> verdicts;
+  std::vector<CellAgg> agg;          ///< per sampled value
 };
 
 /// Memoization hook for pair verdicts, keyed by the order-independent hash
@@ -164,9 +186,12 @@ class Detector {
   /// takes a lock; recording is relaxed-atomic only).
   struct Metrics {
     Counter* columns = nullptr;
-    Counter* pairs_scored = nullptr;      ///< pairs that ran NPMI scoring
-    Counter* pairs_cache_hits = nullptr;  ///< pairs served by the verdict cache
-    Counter* rare_fallbacks = nullptr;    ///< pair-language scores punted on rarity
+    /// Key-row class pairs that ran NPMI scoring (full or degraded). With
+    /// pairs_cache_hits it partitions the class pairs a scan reached, and
+    /// so the cache lookups when a cache is plugged in.
+    Counter* pairs_scored = nullptr;
+    Counter* pairs_cache_hits = nullptr;  ///< class pairs served by the verdict cache
+    Counter* rare_fallbacks = nullptr;    ///< class-pair-language scores punted on rarity
     Counter* columns_degraded = nullptr;  ///< budget-exceeded fallback scans
     Counter* columns_cancelled = nullptr; ///< deadline/cancel partial scans
     Histogram* column_latency_us = nullptr;
@@ -195,9 +220,12 @@ class Detector {
   /// Single-language degraded verdict over the fallback language (the
   /// kBestSingle shape pinned to degrade_lang_).
   PairVerdict ScoreKeysDegraded(const uint64_t* k1, const uint64_t* k2) const;
-  /// The scan core behind Detect. Polls `cancel` between pair-scoring rows
-  /// and switches to the degraded fallback once column_budget_us is spent;
-  /// `*status` reports how the scan ended.
+  /// The scan core behind Detect. Scores each key-row class pair once and
+  /// fans its verdict out to the value pairs of those classes in i < j
+  /// order, so findings and cell tallies come out as a per-pair scan would
+  /// build them. Polls
+  /// `cancel` between pair rows and switches to the degraded fallback once
+  /// column_budget_us is spent; `*status` reports how the scan ended.
   ColumnReport Scan(const std::vector<std::string>& values, ColumnScratch* scratch,
                     PairVerdictCache* cache, const CancelToken& cancel,
                     ColumnStatus* status) const;

@@ -1,13 +1,16 @@
 // Fuzz-style property tests for the total-input surfaces: the tokenizer /
 // generalization kernel (any byte string, including NUL bytes, invalid
 // UTF-8 and megabyte single runs, must produce keys bit-identical to the
-// reference path and never crash) and the CSV reader (round-trips must be
-// lossless on quote/CRLF edge cases; arbitrary garbage must parse or fail
-// cleanly, never crash). Everything is seeded PCG32 — failures reproduce.
+// reference path and never crash), the column scan (deduplicated and
+// class-scored scans must equal their per-value and per-pair references)
+// and the CSV reader (round-trips must be lossless on quote/CRLF edge
+// cases; arbitrary garbage must parse or fail cleanly, never crash).
+// Everything is seeded PCG32 — failures reproduce.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +19,8 @@
 #include "detect/detector.h"
 #include "detect/model.h"
 #include "io/csv.h"
+#include "obs/metrics.h"
+#include "serve/pair_cache.h"
 #include "text/pattern.h"
 #include "text/run_tokenizer.h"
 
@@ -246,8 +251,10 @@ TEST(SimdTokenizerFuzzTest, AllTiersMatchScalarOnMegabyteRuns) {
 
 /// Hand-built minimal model: a few languages with statistics from a small
 /// synthetic corpus and fixed thresholds/curves. Big enough to fire real
-/// findings, cheap enough to construct per test.
-Model MakeTinyModel() {
+/// findings, cheap enough to construct per test. The default set includes
+/// the literal language 0, under which every distinct value has its own key
+/// row.
+Model MakeTinyModel(const std::vector<int>& lang_ids = {0, 5, 9}) {
   GeneralizeOptions gopts;
   std::vector<std::vector<std::string>> corpus;
   for (int c = 0; c < 48; ++c) {
@@ -274,7 +281,7 @@ Model MakeTinyModel() {
 
   Model model;
   const auto& all = LanguageSpace::All();
-  for (int lang_id : {0, 5, 9}) {
+  for (int lang_id : lang_ids) {
     const GeneralizationLanguage& lang = all[static_cast<size_t>(lang_id)];
     ModelLanguage ml;
     ml.lang_id = lang_id;
@@ -362,6 +369,166 @@ TEST(DetectDedupFuzzTest, DedupMatchesNonDedupOnShuffledDuplicateHeavyColumns) {
     for (auto& cell : b.column.cells) cell.row = first_row[cell.row];
     ExpectSameColumnReport(a.column, b.column, iter);
   }
+}
+
+/// Per-language key row of `value` under `model`, from the reference
+/// generalizer rather than the detector's kernel.
+std::vector<uint64_t> ReferenceKeyRow(const Model& model, const std::string& value) {
+  std::vector<uint64_t> row;
+  for (const auto& l : model.languages) row.push_back(GeneralizeToKey(value, l.language()));
+  return row;
+}
+
+/// The column report of `distinct` (a column's distinct values in
+/// first-occurrence order, `first_row` their rows) built pair by pair: one
+/// Detector::ScorePair per distinct pair i < j, then Scan's ranking and
+/// cell-attribution rules restated.
+ColumnReport ReferenceColumnReport(const Detector& detector,
+                                   const std::vector<std::string>& distinct,
+                                   const std::vector<uint32_t>& first_row) {
+  const DetectorOptions& options = detector.options();
+  const size_t d = distinct.size();
+  ColumnReport report;
+  report.distinct_values = d;
+  std::vector<uint32_t> degree(d, 0);
+  std::vector<double> best(d, 0.0);
+  for (size_t i = 0; i < d; ++i) {
+    for (size_t j = i + 1; j < d; ++j) {
+      PairVerdict v = detector.ScorePair(distinct[i], distinct[j]);
+      if (!v.incompatible || v.confidence < options.min_confidence) continue;
+      report.pairs.push_back(PairFinding{distinct[i], distinct[j], v.confidence});
+      ++degree[i];
+      ++degree[j];
+      best[i] = std::max(best[i], v.confidence);
+      best[j] = std::max(best[j], v.confidence);
+    }
+  }
+  std::sort(report.pairs.begin(), report.pairs.end(),
+            [](const PairFinding& a, const PairFinding& b) {
+              return a.confidence > b.confidence;
+            });
+  if (report.pairs.size() > options.max_pair_findings) {
+    report.pairs.resize(options.max_pair_findings);
+  }
+  auto corpus_frequency = [&](size_t i) {
+    std::vector<uint64_t> row = ReferenceKeyRow(detector.model(), distinct[i]);
+    uint64_t total = 0;
+    for (size_t l = 0; l < row.size(); ++l) {
+      total += detector.model().languages[l].stats.Count(row[l]);
+    }
+    return total;
+  };
+  for (size_t i = 0; i < d; ++i) {
+    if (degree[i] == 0) continue;
+    bool suspect;
+    if (d == 2) {
+      const uint64_t mine = corpus_frequency(i), theirs = corpus_frequency(1 - i);
+      suspect = mine < theirs || (mine == theirs && i == 1);
+    } else {
+      suspect = 2 * degree[i] >= d - 1;
+    }
+    if (suspect) report.cells.push_back(CellFinding{first_row[i], distinct[i], best[i], degree[i]});
+  }
+  std::sort(report.cells.begin(), report.cells.end(),
+            [](const CellFinding& a, const CellFinding& b) {
+              if (a.confidence != b.confidence) return a.confidence > b.confidence;
+              return a.incompatible_with > b.incompatible_with;
+            });
+  return report;
+}
+
+// Class-scan equivalence: Scan scores each key-row class pair once and fans
+// the verdict out, so its report must equal one built from a ScorePair call
+// per distinct pair — on shuffled columns where many values share a shape
+// (and hence a key row), with and without a pair cache. Its scored and
+// cache-hit counters must partition exactly the class pairs the column
+// reaches: every pair of distinct classes, plus each class's self-pair when
+// it holds two or more values.
+TEST(DetectClassScanFuzzTest, ClassScanMatchesPerPairReferenceOnSameShapeColumns) {
+  // Digit-generalizing languages only (5 keeps letters literal; 48 is the
+  // crude G; 140 folds letters and digits), so same-shape values collapse.
+  Model model = MakeTinyModel({5, 48, 140});
+  MetricsRegistry registry;
+  DetectorOptions options;
+  options.metrics = &registry;
+  options.max_pair_findings = 4096;  // compare every finding, not a top 16
+  Detector detector(&model, options);
+  ShardedPairCache cache;
+  ColumnScratch scratch;
+  Counter* scored = registry.GetCounter("detect.pairs_scored_total");
+  Counter* hits = registry.GetCounter("detect.pairs_cache_hits_total");
+
+  // Shapes: 'D' draws a digit, 'a' a lowercase letter, 'A' an uppercase
+  // letter; anything else is literal. Many draws of one shape share a key
+  // row under the generalizing languages. Some shapes differ only in a
+  // separator, which language 5 folds and 48 keeps: their rows agree in
+  // one column and must still form separate classes.
+  const std::vector<std::string> shapes = {
+      "DDDD-DD-DD", "DDDD/DD/DD", "DD/DD/DDDD", "DD-DD-DDDD", "DDD",  "DDDD", "item_D",
+      "D.D",        "DD.DD",      "aaaa",       "Aaaa",       "a-D",  "",     "DDDD-DD-D"};
+  auto fill = [](char shape, Pcg32& rng) -> char {
+    if (shape == 'D') return static_cast<char>('0' + rng.Below(10));
+    if (shape == 'a') return static_cast<char>('a' + rng.Below(26));
+    if (shape == 'A') return static_cast<char>('A' + rng.Below(26));
+    return shape;
+  };
+  Pcg32 rng(0xc1a55);
+  uint64_t total_flagged_pairs = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    // At most max_distinct_values distinct values, so the scan scores all
+    // of them and the reference needs no subsample.
+    const size_t num_shapes = 1 + rng.Below(static_cast<uint32_t>(shapes.size()));
+    const size_t pool_size = 2 + rng.Below(47);
+    std::vector<std::string> pool;
+    for (size_t p = 0; p < pool_size; ++p) {
+      const std::string& shape = shapes[rng.Below(static_cast<uint32_t>(num_shapes))];
+      std::string v;
+      for (char c : shape) v.push_back(fill(c, rng));
+      pool.push_back(std::move(v));
+    }
+    std::vector<std::string> values;
+    const size_t rows = 20 + rng.Below(200);
+    for (size_t r = 0; r < rows; ++r) {
+      values.push_back(pool[rng.Below(static_cast<uint32_t>(pool_size))]);
+    }
+
+    std::vector<std::string> distinct;
+    std::vector<uint32_t> first_row;
+    std::set<std::string> seen;
+    for (size_t r = 0; r < values.size(); ++r) {
+      if (seen.insert(values[r]).second) {
+        distinct.push_back(values[r]);
+        first_row.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    ColumnReport expected = ReferenceColumnReport(detector, distinct, first_row);
+    total_flagged_pairs += expected.pairs.size();
+
+    std::map<std::vector<uint64_t>, size_t> classes;
+    for (const auto& v : distinct) ++classes[ReferenceKeyRow(model, v)];
+    uint64_t class_pairs = classes.size() * (classes.size() - 1) / 2;
+    for (const auto& [row, members] : classes) class_pairs += members >= 2 ? 1 : 0;
+    if (distinct.size() < 2) class_pairs = 0;
+
+    // Uncached, then twice against the cache: the repeat finds every class
+    // pair in it.
+    for (int pass = 0; pass < 3; ++pass) {
+      PairVerdictCache* with = pass == 0 ? nullptr : &cache;
+      const uint64_t scored_before = scored->Value(), hits_before = hits->Value();
+      DetectReport got = detector.Detect(DetectRequest{"col", values}, &scratch, with);
+      ExpectSameColumnReport(got.column, expected, iter);
+      if constexpr (kMetricsEnabled) {
+        const uint64_t s = scored->Value() - scored_before, h = hits->Value() - hits_before;
+        ASSERT_EQ(s + h, class_pairs) << "iter " << iter << " pass " << pass;
+        if (pass == 0) {
+          ASSERT_EQ(h, 0u) << "iter " << iter;
+        } else if (pass == 2) {
+          ASSERT_EQ(s, 0u) << "iter " << iter;
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_flagged_pairs, 0u);  // the fixture must exercise findings
 }
 
 // ------------------------------------------------------------------- CSV

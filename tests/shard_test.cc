@@ -5,6 +5,7 @@
 // merge-or-fail CorpusStats::Insert semantics they depend on.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -26,8 +27,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// ctest runs each case of this binary as its own process, in parallel, and
+/// several cases save through one helper: the pid keeps their files apart.
 std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
+  return (fs::temp_directory_path() / (std::to_string(getpid()) + "_" + name)).string();
 }
 
 /// A small candidate set (crude G + a spread of real languages) keeps each
@@ -125,8 +128,9 @@ TEST(ShardArtifactTest, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded->provenance.total_columns, shard->provenance.total_columns);
   EXPECT_EQ(loaded->provenance.column_begin, shard->provenance.column_begin);
   EXPECT_EQ(loaded->provenance.column_end, shard->provenance.column_end);
-  // A round trip must not perturb a single byte of the statistics — the
-  // re-canonicalization on load erases replay-order layout drift.
+  // A round trip must not perturb a single byte of the statistics: both
+  // sides serialize their maps in sorted key order, whatever the in-memory
+  // probe layout of the loaded copy.
   EXPECT_EQ(SerializedStats(loaded->stats), SerializedStats(shard->stats));
   fs::remove(path);
 }
