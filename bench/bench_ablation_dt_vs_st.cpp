@@ -99,6 +99,7 @@ int main() {
       ml.train_coverage = pipeline.calibrations()[i].covered_count;
       ml.curve = pipeline.calibrations()[i].curve;
       ml.stats = pipeline.stats().ForLanguage(lang_id);
+      ml.stats.EnsureHashed();
       dt_model.languages.push_back(std::move(ml));
     }
   }

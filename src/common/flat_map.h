@@ -13,15 +13,18 @@
 #include "common/result.h"
 
 /// \file flat_map.h
-/// Open-addressing u64→u64 hash map for the statistics dictionaries. The
-/// pattern-count hot loop is dominated by random-access increments into
-/// std::unordered_map, whose node allocations and pointer chases are the
-/// wrong shape for that workload. This map stores key/value pairs inline in
-/// one power-of-two array with linear probing — one cache line per lookup in
-/// the common case, no per-entry allocation. It is tombstone-free: the
-/// statistics never erase individual keys (CompressToSketch drops the whole
-/// dictionary), so no erase operation is offered and probe chains never
-/// degrade.
+/// Open-addressing u64→u64 hash map for the statistics dictionaries and the
+/// value interner. Key/value pairs sit inline in one power-of-two array with
+/// linear probing — one cache line per lookup in the common case, no
+/// per-entry allocation. It is tombstone-free: the statistics never erase
+/// individual keys (CompressToSketch drops the whole dictionary), so no erase
+/// operation is offered and probe chains never degrade.
+///
+/// A map can also hold only its entries in ascending key order (FromSorted
+/// with defer_hash, MergeSorted): the training statistics' form from build to
+/// freeze. Counting sorts and merges runs instead of incrementing probes, and
+/// calibration reads counts by merge-join (JoinSorted), so a probe array is
+/// built (EnsureHashed) only for what is frozen into a model.
 
 namespace autodetect {
 
@@ -47,9 +50,9 @@ class FlatMap64 {
   bool empty() const { return size() == 0; }
   size_t capacity() const { return slots_.size(); }
 
-  /// Probe-array bytes this map freezes to once canonicalized — the size(L)
-  /// input of the selection knapsack. A function of the entry count alone,
-  /// not of the resident array: a map that was reserved ahead of its
+  /// Probe-array bytes this map freezes to in the canonical layout — the
+  /// size(L) input of the selection knapsack. A function of the entry count
+  /// alone, not of the resident array: a map that was reserved ahead of its
   /// content, or is still hash-deferred, is priced the same as its
   /// canonical copy.
   size_t MemoryBytes() const {
@@ -84,10 +87,15 @@ class FlatMap64 {
     return slots_[i].value;
   }
 
-  /// Pointer to the value for `key`, or nullptr if absent.
+  /// Pointer to the value for `key`, or nullptr if absent. A hash-deferred
+  /// map answers by binary search over its sorted entries, O(log n);
+  /// EnsureHashed() first when many point queries follow.
   const uint64_t* Find(uint64_t key) const {
-    AD_CHECK(!hash_deferred_);  // call EnsureHashed() before point queries
     if (key == 0) return has_zero_ ? &zero_value_ : nullptr;
+    if (hash_deferred_) {
+      auto it = std::lower_bound(sorted_.begin(), sorted_.end(), key, KeyLess);
+      return it != sorted_.end() && it->key == key ? &it->value : nullptr;
+    }
     if (slots_.empty()) return nullptr;
     size_t i = ProbeStart(key);
     while (true) {
@@ -106,66 +114,23 @@ class FlatMap64 {
 
   bool Contains(uint64_t key) const { return Find(key) != nullptr; }
 
-  /// \brief Adds every (key, value) pair of `other` into this map, summing
-  /// values on overlapping keys (the in-place shard fold of the training
-  /// session). Growth is left to the insert path: it only triggers on keys
-  /// actually new to this map (amortized one rehash), so folding a small
-  /// delta whose keys mostly overlap never copies the big map. A
-  /// hash-deferred `other` (fresh from an ADSHARD1 file) is read from its
-  /// sorted entries without building its probe array.
-  void MergeAdd(const FlatMap64& other) {
-    if (const std::vector<Slot>* sorted = other.sorted_cache()) {
-      for (const Slot& s : *sorted) (*this)[s.key] += s.value;
-      return;
-    }
-    other.ForEach([this](uint64_t key, uint64_t value) { (*this)[key] += value; });
-  }
-
-  /// \brief Rebuilds the probe array into the *canonical* layout: the layout
-  /// produced by reserving capacity for exactly the current entries and
-  /// inserting the non-zero keys in ascending order. Linear-probing layout is
-  /// otherwise a function of insertion/growth history, so two maps with equal
-  /// contents can freeze to different bytes; after Canonicalize the frozen
-  /// blob (and ForEach order) is a pure function of the content. Training
-  /// calls it once per selected language at the freeze point, which is what
-  /// makes any shard order and any fold history freeze to identical bytes.
-  void Canonicalize() {
-    if (canonical_) return;  // layout already a pure function of content
-    std::vector<Slot> pairs;
-    pairs.reserve(size_);
-    for (const Slot& s : slots_) {
-      if (s.key != 0) pairs.push_back(s);
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const Slot& a, const Slot& b) { return a.key < b.key; });
-    std::vector<Slot>().swap(slots_);
-    if (!pairs.empty()) {
-      const size_t cap = RequiredCapacity(pairs.size());
-      slots_.assign(cap, Slot{});
-      for (const Slot& s : pairs) {
-        size_t i = static_cast<size_t>(Mix64(s.key)) & (cap - 1);
-        while (slots_[i].key != 0) i = (i + 1) & (cap - 1);
-        slots_[i] = s;
-      }
-    }
-    canonical_ = true;
-  }
-
-  /// \brief Builds a map directly in the canonical layout from entries in
-  /// strictly ascending key order (key 0, if present, first — i.e. sorted).
-  /// This is the fast deserialization path: the serialized statistics wire
-  /// contract emits entries sorted, so loading skips the collect-and-sort
-  /// rebuild that Canonicalize() would otherwise pay. The sorted vector is
-  /// retained as a cache (see sorted_cache()) so a later serialization or
-  /// sorted merge skips the collect-and-sort as well. Order violations or
-  /// duplicates fail closed with Corruption.
+  /// \brief Builds a map from entries in strictly ascending key order (key 0,
+  /// if present, first — i.e. sorted). The probe array comes out in the
+  /// *canonical* layout: capacity reserved for exactly these entries, the
+  /// non-zero keys inserted in ascending order. Linear-probing layout is
+  /// otherwise a function of insertion and growth history, so this is what
+  /// makes the frozen blob (and ForEach order) a pure function of the
+  /// content, whatever shard order or fold history produced the counts. The
+  /// sorted vector is retained as a cache (see sorted_cache()) so a later
+  /// serialization, sorted merge or JoinSorted skips a collect-and-sort.
+  /// Order violations or duplicates fail closed with Corruption.
   ///
   /// With `defer_hash` the probe array itself is not built: the map carries
   /// only the sorted entries (plus size bookkeeping) until EnsureHashed().
-  /// This is the shard-reduction profile — deserialized statistics that are
-  /// merged and re-serialized but never probed skip the hash build, which
-  /// dominates deserialization cost. Point queries on a deferred map fail a
-  /// hard check rather than silently missing.
+  /// This is the training profile — statistics that are counted, merged,
+  /// serialized and read by merge-join skip the hash build; only what a
+  /// model freezes pays it. Point queries on a deferred map binary-search
+  /// the sorted entries.
   static Result<FlatMap64> FromSorted(std::vector<Slot>&& pairs,
                                       bool defer_hash = false) {
     uint64_t prev = 0;
@@ -208,12 +173,10 @@ class FlatMap64 {
 
   bool hash_deferred() const { return hash_deferred_; }
 
-  /// \brief Merges two maps into a new canonical map, summing values on
-  /// overlapping keys. Runs as a sorted merge-join over both maps'
-  /// ascending-order entries (from the cache when available) followed by one
-  /// canonical rebuild — for large maps this is substantially cheaper than
-  /// MergeAdd + Canonicalize, which pays a hash probe per entry and then a
-  /// full collect-sort-reinsert pass over the merged result.
+  /// \brief Merges two maps into a new map, summing values on overlapping
+  /// keys: a two-pointer merge over both maps' ascending-order entries (from
+  /// the cache when available). The result stays hash-deferred: counts are
+  /// folded many times, and only a consumer that probes pays the build.
   static FlatMap64 MergeSorted(const FlatMap64& a, const FlatMap64& b) {
     std::vector<Slot> local_a, local_b;
     const std::vector<Slot>* sa = a.sorted_cache();
@@ -226,35 +189,81 @@ class FlatMap64 {
       local_b = b.CollectSorted();
       sb = &local_b;
     }
-    std::vector<Slot> merged;
-    merged.reserve(sa->size() + sb->size());
-    size_t i = 0, j = 0;
-    while (i < sa->size() && j < sb->size()) {
-      const Slot& x = (*sa)[i];
-      const Slot& y = (*sb)[j];
-      if (x.key < y.key) {
-        merged.push_back(x);
+    return FromSortedUnchecked(MergeEntries(*sa, *sb), /*defer_hash=*/true);
+  }
+
+  /// \brief Two ascending entry arrays merged into one, values summed on
+  /// equal keys. The output is sized exactly (a counting pass first), so
+  /// merged arrays that are kept carry no slack capacity.
+  static std::vector<Slot> MergeEntries(const std::vector<Slot>& a,
+                                        const std::vector<Slot>& b) {
+    size_t shared = 0;  // keys on both sides: merged size is |a| + |b| - shared
+    for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+      if (a[i].key < b[j].key) {
         ++i;
-      } else if (y.key < x.key) {
-        merged.push_back(y);
+      } else if (b[j].key < a[i].key) {
         ++j;
       } else {
-        merged.push_back(Slot{x.key, x.value + y.value});
+        ++shared;
         ++i;
         ++j;
       }
     }
-    merged.insert(merged.end(), sa->begin() + i, sa->end());
-    merged.insert(merged.end(), sb->begin() + j, sb->end());
-    // The merged map stays hash-deferred: reducers fold many shards, and
-    // only the final fold's consumer (if it queries at all) pays the build.
-    return FromSortedUnchecked(std::move(merged), /*defer_hash=*/true);
+    std::vector<Slot> merged;
+    merged.reserve(a.size() + b.size() - shared);
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+      if (a[i].key < b[j].key) {
+        merged.push_back(a[i++]);
+      } else if (b[j].key < a[i].key) {
+        merged.push_back(b[j++]);
+      } else {
+        merged.push_back(Slot{a[i].key, a[i].value + b[j].value});
+        ++i;
+        ++j;
+      }
+    }
+    merged.insert(merged.end(), a.begin() + static_cast<ptrdiff_t>(i), a.end());
+    merged.insert(merged.end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
+    return merged;
   }
 
-  /// Entries in ascending key order (zero key, if present, first). Collected
-  /// from the probe array and sorted on every call; use sorted_cache() to
-  /// check for a precomputed copy first.
+  /// \brief Batch point query: for each (key, index) in `queries`, ascending
+  /// by key (duplicates allowed), sets out[index] to the key's value, or 0.
+  /// With sorted entries at hand this is one galloping merge-join — each
+  /// query skips ahead by doubling steps then binary-searches the last one —
+  /// so a batch costs O(q log(n/q)) sequential reads rather than q random
+  /// probes; a hashed-only map probes once per query.
+  void JoinSorted(const std::vector<Slot>& queries, uint64_t* out) const {
+    if (!has_sorted_) {
+      for (const Slot& q : queries) out[q.value] = GetOr(q.key);
+      return;
+    }
+    const Slot* e = sorted_.data();
+    const Slot* const end = e + sorted_.size();
+    for (const Slot& q : queries) {
+      if (e != end && e->key < q.key) {
+        // Invariant: lo->key < q.key, and hi is end or hi->key >= q.key.
+        const Slot* lo = e;
+        const Slot* hi = end;
+        for (size_t step = 1; static_cast<size_t>(end - lo) > step; step <<= 1) {
+          if (lo[step].key >= q.key) {
+            hi = lo + step;
+            break;
+          }
+          lo += step;
+        }
+        e = std::lower_bound(lo + 1, hi, q.key, KeyLess);
+      }
+      out[q.value] = (e != end && e->key == q.key) ? e->value : 0;
+    }
+  }
+
+  /// Entries in ascending key order (zero key, if present, first): a copy of
+  /// the sorted cache when there is one, else collected from the probe array
+  /// and sorted.
   std::vector<Slot> CollectSorted() const {
+    if (has_sorted_) return sorted_;
     std::vector<Slot> pairs;
     pairs.reserve(size());
     ForEach([&pairs](uint64_t k, uint64_t v) { pairs.push_back(Slot{k, v}); });
@@ -264,10 +273,10 @@ class FlatMap64 {
   }
 
   /// \brief Cached ascending-order entry array, or nullptr. Present on maps
-  /// built by FromSorted / MergeSorted that have not been mutated since;
-  /// invalidated by any operator[] access (the reference may be written
-  /// through). Lets serialization and sorted merges skip a collect-and-sort
-  /// pass over large dictionaries.
+  /// built by FromSorted / MergeSorted that have not been hashed or mutated
+  /// since; invalidated by EnsureHashed and by any operator[] access (the
+  /// reference may be written through). Lets serialization, sorted merges
+  /// and JoinSorted skip a collect-and-sort pass over large dictionaries.
   const std::vector<Slot>* sorted_cache() const {
     return has_sorted_ ? &sorted_ : nullptr;
   }
@@ -278,7 +287,6 @@ class FlatMap64 {
     size_ = 0;
     has_zero_ = false;
     zero_value_ = 0;
-    canonical_ = true;  // the canonical empty map has no backing array
     hash_deferred_ = false;
     if (has_sorted_) DropSortedCache();
   }
@@ -291,7 +299,6 @@ class FlatMap64 {
     size_ = 0;
     has_zero_ = false;
     zero_value_ = 0;
-    canonical_ = false;  // canonical empty has zero capacity, this keeps it
     hash_deferred_ = false;
     if (has_sorted_) DropSortedCache();
   }
@@ -354,7 +361,6 @@ class FlatMap64 {
       }
     }
     map.hash_deferred_ = defer_hash && m > 0;
-    map.canonical_ = true;
     map.sorted_ = std::move(pairs);
     map.has_sorted_ = true;
     return map;
@@ -371,9 +377,10 @@ class FlatMap64 {
     }
     slots_[i].key = key;
     ++size_;
-    canonical_ = false;  // a new key invalidates the canonical layout
     return slots_[i].value;
   }
+
+  static bool KeyLess(const Slot& s, uint64_t key) { return s.key < key; }
 
   void DropSortedCache() {
     std::vector<Slot>().swap(sorted_);
@@ -392,7 +399,6 @@ class FlatMap64 {
   }
 
   void Rehash(size_t new_capacity) {
-    canonical_ = false;  // growth changes layout away from the canonical one
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_capacity, Slot{});
     for (const Slot& s : old) {
@@ -407,18 +413,13 @@ class FlatMap64 {
   size_t size_ = 0;  ///< non-zero keys stored in slots_
   bool has_zero_ = false;
   uint64_t zero_value_ = 0;
-  /// True when the probe-array layout is known to equal the canonical
-  /// rebuild (default-constructed maps are trivially canonical). Lets
-  /// Canonicalize() skip the collect-sort-reinsert pass on maps that were
-  /// deserialized via FromSorted or already canonicalized.
-  bool canonical_ = true;
   /// Ascending-order entry cache (see sorted_cache()). Mirrors the content
   /// exactly while has_sorted_ is set; dropped on any potential mutation.
   std::vector<Slot> sorted_;
   bool has_sorted_ = false;
   /// True while the probe array has not been materialized from sorted_
-  /// (FromSorted with defer_hash, or MergeSorted). Point queries and
-  /// iteration hard-fail until EnsureHashed().
+  /// (FromSorted with defer_hash, or MergeSorted). Point queries
+  /// binary-search sorted_; iteration hard-fails until EnsureHashed().
   bool hash_deferred_ = false;
 };
 

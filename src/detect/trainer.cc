@@ -139,13 +139,13 @@ Status TrainSession::AddShards(std::vector<StatsShard> shards) {
   AD_ASSIGN_OR_RETURN(ShardProvenance provenance, CheckMergeable(std::move(all)));
 
   // Validated before any count moves. Fold each delta into the session's
-  // maps in place: counts are additive and Finalize canonicalizes what it
-  // freezes, so neither the fold order nor the resulting probe layout
-  // reaches the model bytes, and the base is never copied or rebuilt.
+  // sorted entry arrays with a sorted merge: counts are additive and the
+  // result is the same sorted form, so the fold order cannot reach the
+  // model bytes.
   const std::vector<int> ids = shard_.stats.LanguageIds();
   ThreadPool::ParallelFor(ids.size(), options_.num_threads, [&](size_t li) {
     LanguageStats& dst = shard_.stats.MutableForLanguage(ids[li]);
-    for (const StatsShard& s : shards) dst.Merge(s.stats.ForLanguage(ids[li]));
+    for (const StatsShard& s : shards) dst.MergeCanonical(s.stats.ForLanguage(ids[li]));
   });
   shard_.provenance = std::move(provenance);
   return AdoptStats();
@@ -155,38 +155,35 @@ Status TrainSession::Supervise(ColumnSource* source) {
   if (!has_stats_) {
     return Status::Invalid("Supervise needs adopted statistics (UseStats/BuildStats)");
   }
-  // First point-query stage: statistics adopted from artifacts (UseStats of
-  // a ReadShard / MergeShards result) arrive hash-deferred; supervision and
-  // calibration probe them.
-  shard_.stats.EnsureHashed();
   MetricsRegistry* registry = OrDefaultRegistry(options_.stats.metrics);
 
-  // Distant supervision uses crude-G statistics. If crude G was not among
-  // the candidates, build it on a dedicated pass.
+  // Distant supervision probes crude-G statistics pair by pair, so it gets
+  // a hashed copy of that one language. If crude G was not among the
+  // candidates, build it on a dedicated pass.
   int crude_id = LanguageSpace::IdOf(LanguageSpace::CrudeG());
-  CorpusStats crude_holder;
-  const LanguageStats* crude_stats = nullptr;
   {
     TraceSpan span(registry, "train.stage.supervision_us");
+    LanguageStats crude_stats;
     if (shard_.stats.Has(crude_id)) {
-      crude_stats = &shard_.stats.ForLanguage(crude_id);
+      crude_stats = shard_.stats.ForLanguage(crude_id);
     } else {
       StatsBuilderOptions crude_opts = options_.stats;
       crude_opts.language_ids = {crude_id};
       source->Reset();
-      crude_holder = BuildCorpusStats(source, crude_opts);
-      crude_stats = &crude_holder.ForLanguage(crude_id);
+      crude_stats = BuildCorpusStats(source, crude_opts).ForLanguage(crude_id);
     }
+    crude_stats.EnsureHashed();
     source->Reset();
     AD_ASSIGN_OR_RETURN(
         training_set_,
-        GenerateTrainingSet(source, *crude_stats, options_.supervision));
+        GenerateTrainingSet(source, crude_stats, options_.supervision));
   }
 
   // Calibrate every candidate (parallel). The training set is pre-keyed
   // once under every candidate language via the shared-tokenization kernel;
   // per-language workers then score from keys alone instead of
-  // re-generalizing every pair 144 times.
+  // re-generalizing every pair 144 times, reading counts by merge-join
+  // against the sorted statistics (no probe arrays are built).
   lang_ids_ = shard_.stats.LanguageIds();
   calibrations_.assign(lang_ids_.size(), CalibrationResult{});
   {
@@ -213,7 +210,7 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
 
   // Assemble selection candidates from usable calibrations. Candidates are
   // priced at their EXACT frozen bytes (FlatMap64::MemoryBytes, a function
-  // of the entry count, so the price cannot depend on how a map grew) even
+  // of the entry count, so sorted stats cost what their hashed copy will) even
   // when sketch knobs are on: sketching is an artifact-compression step
   // applied to the chosen ensemble, not a discount that lets the knapsack
   // trade estimator accuracy for extra languages. Pricing at sketched bytes
@@ -259,12 +256,12 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
     ml.threshold = cal.threshold;
     ml.train_coverage = cal.covered_count;
     ml.curve = cal.curve;
-    // Copy, canonicalize, then maybe compress. The session's maps keep
-    // whatever probe layout their build and folds left; the frozen bytes
-    // must not, and conservative-update sketching is order-dependent, so
-    // both read the canonical copy.
+    // Copy, hash, then maybe compress. The session holds sorted entry
+    // arrays; the copy's probe arrays are built in the canonical layout, so
+    // the frozen bytes — and the order conservative-update sketching reads
+    // the counts in — are a pure function of the counts.
     ml.stats = shard_.stats.ForLanguage(ml.lang_id);
-    ml.stats.Canonicalize();
+    ml.stats.EnsureHashed();
     if (ShouldSketch(ml.stats, sketch_ratio)) {
       const uint64_t seed = 0xadde7ec7 + static_cast<uint64_t>(ml.lang_id);
       AD_RETURN_NOT_OK(ml.stats.CompressToSketch(sketch_ratio, seed));

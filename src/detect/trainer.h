@@ -30,12 +30,12 @@
 /// `TrainModel` remains as the thin one-shot adapter over the same stages.
 /// Determinism contract: a model finalized from N merged shards is
 /// byte-identical to the one-shot model, for any shard order. The session
-/// keeps exact, hashed counts in whatever probe layout they were built or
-/// folded in; supervision, calibration and selection read them only through
-/// point queries and entry counts, and Finalize canonicalizes
-/// (FlatMap64::Canonicalize) each selected language's copy before it
-/// sketches or freezes it. Every stage is therefore a pure function of the
-/// counts and the column stream. Re-selection under new budgets or sketch
+/// keeps exact counts as sorted entry arrays (hash-deferred FlatMap64s) from
+/// build to freeze; calibration reads them by merge-join, selection by entry
+/// counts, and Finalize hashes (LanguageStats::EnsureHashed) only each
+/// selected language's copy, whose probe arrays come out in the canonical
+/// layout before it sketches or freezes. Every stage is therefore a pure
+/// function of the counts and the column stream. Re-selection under new budgets or sketch
 /// ratios re-runs only Finalize on the same session, so ablation benches
 /// never re-scan the corpus (paper Figs. 7 and 8a).
 
@@ -90,26 +90,26 @@ class TrainSession {
   Status UseStats(StatsShard shard);
 
   /// \brief The delta path: folds new shards into the adopted statistics
-  /// in place (LanguageStats::Merge per language, in parallel). The session
-  /// plus the new shards must pass CheckMergeable — the combined ranges
-  /// must tile one contiguous range — and a refused set changes nothing.
-  /// Supervision must be re-run afterwards; the statistics pass over the OLD
-  /// columns is what this saves, and the in-place fold means the old
-  /// statistics are neither copied nor rebuilt.
+  /// (a sorted merge per language, LanguageStats::MergeCanonical, in
+  /// parallel). The session plus the new shards must pass CheckMergeable —
+  /// the combined ranges must tile one contiguous range — and a refused set
+  /// changes nothing. Supervision must be re-run afterwards; the statistics
+  /// pass over the OLD columns is what this saves.
   Status AddShards(std::vector<StatsShard> shards);
 
   /// \brief Distant supervision + per-language calibration against the
   /// adopted statistics. `source` must stream the FULL corpus the
-  /// statistics cover (it is Reset first). Calibration pre-keys the
-  /// training set once under every candidate (PreKeyedTrainingSet) and
-  /// calibrates candidates in parallel.
+  /// statistics cover (it is Reset first). Distant supervision probes a
+  /// hashed copy of the crude-G language; calibration pre-keys the training
+  /// set once under every candidate (PreKeyedTrainingSet), reads counts by
+  /// merge-join and calibrates candidates in parallel.
   Status Supervise(ColumnSource* source);
 
   /// \brief Selects languages under `memory_budget_bytes`/`sketch_ratio`
   /// (overriding the option defaults) and assembles a Model. Candidates are
   /// priced at their exact frozen bytes; each chosen language is copied and
-  /// canonicalized (the freeze point), then sketching compresses the chosen
-  /// ensemble.
+  /// hashed into the canonical layout (the freeze point), then sketching
+  /// compresses the chosen ensemble.
   Result<Model> Finalize(size_t memory_budget_bytes, double sketch_ratio) const;
   Result<Model> Finalize() const;
 

@@ -89,6 +89,7 @@ Result<LanguageStats> BuildOrLoadCrudeStats(const HarnessConfig& config) {
     BinaryWriter writer(&out);
     crude.Serialize(&writer);
   }
+  crude.EnsureHashed();  // test-case generation probes it pair by pair
   return crude;
 }
 

@@ -6,24 +6,106 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/radix_sort.h"
 
 namespace autodetect {
 
-void LanguageStats::AddColumn(const std::vector<uint64_t>& distinct_keys) {
-  AD_CHECK(!frozen_);  // frozen stats are immutable by contract
+namespace {
+
+using Slot = FlatMap64::Slot;
+
+/// Run-length-encodes ascending keys into (key, occurrences) entries.
+std::vector<Slot> CountSortedKeys(const std::vector<uint64_t>& keys) {
+  size_t distinct = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    distinct += (i == 0 || keys[i] != keys[i - 1]) ? 1 : 0;
+  }
+  std::vector<Slot> run;
+  run.reserve(distinct);
+  for (uint64_t key : keys) {
+    if (!run.empty() && run.back().key == key) {
+      ++run.back().value;
+    } else {
+      run.push_back(Slot{key, 1});
+    }
+  }
+  return run;
+}
+
+FlatMap64 SortedMap(std::vector<Slot>&& entries) {
+  Result<FlatMap64> map = FlatMap64::FromSorted(std::move(entries), /*defer_hash=*/true);
+  AD_CHECK(map.ok()) << map.status().ToString();
+  return std::move(*map);
+}
+
+}  // namespace
+
+void LanguageStatsBuilder::AddColumn(const uint64_t* keys, size_t n, Stage* stage) {
   ++num_columns_;
-  for (uint64_t k : distinct_keys) ++counts_[k];
-  AD_DCHECK(!sketch_.has_value());  // building after compression is unsupported
-  for (size_t i = 0; i < distinct_keys.size(); ++i) {
-    for (size_t j = i + 1; j < distinct_keys.size(); ++j) {
-      ++co_counts_[CombineUnordered(distinct_keys[i], distinct_keys[j])];
+  stage->patterns.insert(stage->patterns.end(), keys, keys + n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      stage->pairs.push_back(CombineUnordered(keys[i], keys[j]));
     }
   }
 }
 
+void LanguageStatsBuilder::AddRun(Stage* stage) {
+  if (stage->patterns.empty()) return;  // no keys: pairs are empty too
+  RadixSort(&stage->patterns, &stage->sort_buffer);
+  RadixSort(&stage->pairs, &stage->sort_buffer);
+  Run run;
+  run.counts = CountSortedKeys(stage->patterns);
+  run.co_counts = CountSortedKeys(stage->pairs);
+  run.batches = 1;
+  stage->patterns.clear();
+  stage->pairs.clear();
+  runs_.push_back(std::move(run));
+  while (runs_.size() >= 2 && runs_[runs_.size() - 2].batches == runs_.back().batches) {
+    FoldNewestRun();
+  }
+}
+
+void LanguageStatsBuilder::FoldNewestRun() {
+  Run newer = std::move(runs_.back());
+  runs_.pop_back();
+  Run& older = runs_.back();
+  older.counts = FlatMap64::MergeEntries(older.counts, newer.counts);
+  older.co_counts = FlatMap64::MergeEntries(older.co_counts, newer.co_counts);
+  older.batches += newer.batches;
+}
+
+LanguageStats LanguageStatsBuilder::Build() {
+  AddRun(&own_stage_);
+  while (runs_.size() >= 2) FoldNewestRun();  // smallest into the next larger
+  LanguageStats stats;
+  stats.num_columns_ = num_columns_;
+  if (!runs_.empty()) {
+    stats.counts_ = SortedMap(std::move(runs_[0].counts));
+    stats.co_counts_ = SortedMap(std::move(runs_[0].co_counts));
+  }
+  num_columns_ = 0;
+  runs_.clear();
+  return stats;
+}
+
+void LanguageStats::AddColumn(const std::vector<uint64_t>& distinct_keys) {
+  LanguageStatsBuilder column;
+  column.AddColumn(distinct_keys);
+  MergeCanonical(column.Build());
+}
+
 uint64_t LanguageStats::CoCount(uint64_t key1, uint64_t key2) const {
   if (key1 == key2) return Count(key1);
-  uint64_t pair_key = CombineUnordered(key1, key2);
+  if (uses_sketch()) return CoCount(key1, key2, Count(key1), Count(key2));
+  const uint64_t pair_key = CombineUnordered(key1, key2);
+  return frozen_ ? co_view_.GetOr(pair_key) : co_counts_.GetOr(pair_key);
+}
+
+uint64_t LanguageStats::CoCount(uint64_t key1, uint64_t key2, uint64_t count1,
+                                uint64_t count2) const {
+  if (key1 == key2) return count1;
+  const uint64_t pair_key = CombineUnordered(key1, key2);
   if (uses_sketch()) {
     // Min-estimate over conservative-update counters, NOT the count-mean-min
     // correction: co-occurrence mass is strongly zipf, so the mean
@@ -37,7 +119,7 @@ uint64_t LanguageStats::CoCount(uint64_t key1, uint64_t key2) const {
     // collision noise is proportionally worst — the rare-pattern pairs the
     // detector's tail quality lives on — and a never-seen pattern cannot
     // co-occur at all.
-    const uint64_t cap = std::min(Count(key1), Count(key2));
+    const uint64_t cap = std::min(count1, count2);
     if (cap == 0) return 0;
     // The loader must AttachSketch before serving an external sketch.
     AD_DCHECK(sketch_.has_value() || sketch_view_.valid());
@@ -46,6 +128,23 @@ uint64_t LanguageStats::CoCount(uint64_t key1, uint64_t key2) const {
     return std::min(est, cap);
   }
   return frozen_ ? co_view_.GetOr(pair_key) : co_counts_.GetOr(pair_key);
+}
+
+void LanguageStats::CountsInto(const std::vector<Slot>& queries, uint64_t* out) const {
+  if (frozen_) {
+    for (const Slot& q : queries) out[q.value] = counts_view_.GetOr(q.key);
+    return;
+  }
+  counts_.JoinSorted(queries, out);
+}
+
+void LanguageStats::CoCountsInto(const std::vector<Slot>& queries, uint64_t* out) const {
+  AD_CHECK(!uses_sketch()) << "sketched co-counts need both marginals";
+  if (frozen_) {
+    for (const Slot& q : queries) out[q.value] = co_view_.GetOr(q.key);
+    return;
+  }
+  co_counts_.JoinSorted(queries, out);
 }
 
 size_t LanguageStats::MemoryBytes() const {
@@ -76,6 +175,9 @@ void LanguageStats::AttachSketch(CountMinSketch::FrozenView view) {
 Status LanguageStats::CompressImpl(size_t budget_bytes, uint64_t seed) {
   if (frozen_) return Status::Invalid("cannot compress frozen stats");
   if (uses_sketch()) return Status::Invalid("already compressed");
+  // Conservative update is order-dependent: insert in the canonical probe
+  // order, the same whatever form (sorted or hashed) the counts arrived in.
+  EnsureHashed();
   CountMinSketch sketch =
       CountMinSketch::FromMemoryBudget(budget_bytes, /*depth=*/4, seed);
   // Conservative update: pair counts are strongly zipf, where CU cuts the
@@ -100,26 +202,12 @@ Status LanguageStats::CompressToSketch(double ratio, uint64_t seed) {
   return CompressImpl(budget, seed);
 }
 
-void LanguageStats::Merge(const LanguageStats& other) {
-  AD_CHECK(!frozen_ && !other.frozen_);
-  AD_CHECK(!sketch_.has_value() && !other.sketch_.has_value());
-  num_columns_ += other.num_columns_;
-  counts_.MergeAdd(other.counts_);
-  co_counts_.MergeAdd(other.co_counts_);
-}
-
 void LanguageStats::MergeCanonical(const LanguageStats& other) {
   AD_CHECK(!frozen_ && !other.frozen_);
   AD_CHECK(!uses_sketch() && !other.uses_sketch());
   num_columns_ += other.num_columns_;
   counts_ = FlatMap64::MergeSorted(counts_, other.counts_);
   co_counts_ = FlatMap64::MergeSorted(co_counts_, other.co_counts_);
-}
-
-void LanguageStats::Canonicalize() {
-  AD_CHECK(!frozen_ && !uses_sketch());
-  counts_.Canonicalize();
-  co_counts_.Canonicalize();
 }
 
 namespace {

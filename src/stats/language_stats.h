@@ -17,11 +17,17 @@
 /// or approximately (count–min sketch, Sec. 3.4). Patterns are identified
 /// by their 64-bit canonical keys (pattern.h).
 ///
-/// A LanguageStats is either *owned* (mutable, dictionaries in heap
-/// FlatMap64s — the training representation) or *frozen* (read-only views
-/// over a caller-provided byte blob, typically inside a memory-mapped
-/// ADMODEL2 file — the serving representation). Lookups behave identically
-/// in both modes; mutation of a frozen instance is a programming error.
+/// A LanguageStats is either *owned* (mutable, heap FlatMap64s) or *frozen*
+/// (read-only views over a caller-provided byte blob, typically inside a
+/// memory-mapped ADMODEL2 file — the serving representation). Training's
+/// owned dictionaries are sorted (key, count) entry arrays from build to
+/// freeze — hash-deferred FlatMap64s, in ADSHARD1 wire order: the builder
+/// counts by sorting runs (LanguageStatsBuilder), shard folds are sorted
+/// merges, and calibration reads counts by merge-join (CountsInto /
+/// CoCountsInto). EnsureHashed builds the canonical probe arrays, which the
+/// training session does only for the languages a model keeps. Lookups
+/// behave identically in every form; mutation of a frozen instance is a
+/// programming error.
 
 namespace autodetect {
 
@@ -29,8 +35,12 @@ class LanguageStats {
  public:
   LanguageStats() = default;
 
-  /// \brief Ingests one column, given the column's *distinct* pattern keys.
-  /// Increments c(p) for each key and c(p,q) for each unordered pair.
+  /// \brief Ingests one column, given the column's *distinct* pattern keys
+  /// (any order): c(p) gains 1 for each key and c(p,q) for each unordered
+  /// pair. The column is counted by a LanguageStatsBuilder and folded in
+  /// with MergeCanonical, so each call rewrites the entry arrays: this suits
+  /// small hand-built statistics. Corpus-sized builds stage columns in a
+  /// LanguageStatsBuilder (BuildCorpusStats does).
   void AddColumn(const std::vector<uint64_t>& distinct_keys);
 
   /// Number of columns ingested (the N of Eq. 1).
@@ -45,6 +55,24 @@ class LanguageStats {
   /// c(p) by definition (a value pair with identical patterns co-occurs
   /// wherever the pattern occurs).
   uint64_t CoCount(uint64_t key1, uint64_t key2) const;
+
+  /// \brief c(p1, p2) when the caller already holds both marginals
+  /// (count1 = c(key1), count2 = c(key2)): a sketched language caps its
+  /// estimate with them instead of reading them again. NpmiScorer reads
+  /// each count once through this.
+  uint64_t CoCount(uint64_t key1, uint64_t key2, uint64_t count1,
+                   uint64_t count2) const;
+
+  /// \brief c(p) for a batch of keys: for each (key, index) in `queries`,
+  /// ascending by key (duplicates allowed), sets out[index] = c(key). On
+  /// sorted owned stats this is one galloping merge-join over the entry
+  /// array (FlatMap64::JoinSorted); otherwise one point query per key.
+  void CountsInto(const std::vector<FlatMap64::Slot>& queries, uint64_t* out) const;
+
+  /// \brief c(p1, p2) for a batch of pair keys (CombineUnordered of two
+  /// distinct pattern keys), same contract as CountsInto. Exact stats only:
+  /// a sketch's estimate needs both marginals (use CoCount).
+  void CoCountsInto(const std::vector<FlatMap64::Slot>& queries, uint64_t* out) const;
 
   /// Number of distinct patterns / distinct co-occurring pairs seen.
   size_t NumPatterns() const {
@@ -87,25 +115,18 @@ class LanguageStats {
   size_t SketchWidth() const;
   size_t SketchDepth() const;
 
-  /// \brief Merges another shard built over a disjoint set of columns.
-  void Merge(const LanguageStats& other);
-
-  /// \brief Merge that lands directly in the canonical layout: a sorted
-  /// merge-join over both sides' dictionaries (FlatMap64::MergeSorted)
-  /// replaces Merge + Canonicalize. Equivalent result, but large merges skip
-  /// the per-entry hash probes and the full collect-sort-reinsert rebuild —
-  /// this is the shard-reduction path, where the big side was just
-  /// deserialized and its sorted entry arrays are still cached. Only valid
-  /// on owned, exact (unsketched) stats.
+  /// \brief Adds another shard's counts, built over a disjoint set of
+  /// columns: a sorted merge of both sides' entry arrays
+  /// (FlatMap64::MergeSorted). The result stays sorted (hash-deferred), the
+  /// form a later hash build turns into the canonical layout, so any fold
+  /// order freezes to identical bytes. Only valid on owned, exact
+  /// (unsketched) stats.
   void MergeCanonical(const LanguageStats& other);
 
-  /// \brief Rebuilds both dictionaries into the canonical probe layout
-  /// (FlatMap64::Canonicalize), making the frozen/serialized bytes a pure
-  /// function of the counts. TrainSession::Finalize canonicalizes each
-  /// selected language's copy before freezing it, so N merged shards and a
-  /// one-shot pass freeze to identical bytes. Only valid on owned, exact
-  /// (unsketched) stats.
-  void Canonicalize();
+  /// \brief Gives both dictionaries their canonical probe arrays, so the
+  /// frozen bytes are a pure function of the counts. Owned exact stats are
+  /// only ever held sorted or already canonical, so this is EnsureHashed.
+  void Canonicalize() { EnsureHashed(); }
 
   /// \brief Streams owned stats (shard artifacts).
   /// Frozen stats are written with AppendFrozen instead.
@@ -119,8 +140,10 @@ class LanguageStats {
   static Result<LanguageStats> Deserialize(BinaryReader* reader,
                                            bool defer_hash = false);
 
-  /// \brief Materializes hash-deferred dictionaries (no-op otherwise); must
-  /// run before Count/CoCount queries on defer_hash-deserialized stats.
+  /// \brief Materializes hash-deferred dictionaries into their canonical
+  /// probe arrays (no-op otherwise) and drops the sorted entries. Point
+  /// queries work either way; hashed they cost O(1) rather than a binary
+  /// search, and freezing (AppendFrozen) needs the probe arrays.
   void EnsureHashed();
 
   /// True when backed by views over external bytes (zero-copy model path).
@@ -152,6 +175,8 @@ class LanguageStats {
   static Result<LanguageStats> FromFrozen(const void* data, size_t len);
 
  private:
+  friend class LanguageStatsBuilder;
+
   uint64_t num_columns_ = 0;
   FlatMap64 counts_;
   FlatMap64 co_counts_;  // key: CombineUnordered
@@ -163,6 +188,57 @@ class LanguageStats {
   FlatMap64::FrozenView counts_view_;  ///< live iff frozen_
   FlatMap64::FrozenView co_view_;      ///< live iff frozen_ and no sketch
   CountMinSketch::FrozenView sketch_view_;  ///< live iff sketch_external_
+};
+
+/// \brief Counts columns into one language's statistics by sorting, the
+/// training path. Each column stages its pattern keys and the
+/// CombineUnordered key of each unordered pair; AddRun radix-sorts the staged
+/// keys and run-length-encodes them into one sorted (key, count) run per
+/// dictionary. Runs are merged pairwise whenever the two newest cover the
+/// same number of AddRun calls, like a binary counter, so an entry is
+/// rewritten O(log runs) times however many batches a corpus spans. No hash
+/// table is built: Build returns hash-deferred statistics.
+class LanguageStatsBuilder {
+ public:
+  /// Staged keys of the columns not yet sorted into a run. A caller counting
+  /// many languages one after another lends one Stage to all of them
+  /// (BuildCorpusStats keeps one per chunk chain), so staging memory is one
+  /// language's batch, not every language's.
+  struct Stage {
+    std::vector<uint64_t> patterns;
+    std::vector<uint64_t> pairs;
+    std::vector<uint64_t> sort_buffer;
+  };
+
+  /// \brief Stages one column's distinct pattern keys (any order, no
+  /// duplicates) in `stage`; they count once AddRun sorts the stage.
+  void AddColumn(const uint64_t* keys, size_t n, Stage* stage);
+  /// Stages into the builder's own stage, which Build sorts.
+  void AddColumn(const std::vector<uint64_t>& keys) {
+    AddColumn(keys.data(), keys.size(), &own_stage_);
+  }
+
+  /// \brief Sorts everything staged in `stage` into one run, folds it into
+  /// the runs so far and empties the stage (keeping its capacity).
+  void AddRun(Stage* stage);
+
+  /// \brief Folds all runs (after the own stage's) into owned statistics in
+  /// sorted, hash-deferred form, and leaves the builder empty.
+  LanguageStats Build();
+
+ private:
+  struct Run {
+    std::vector<FlatMap64::Slot> counts;
+    std::vector<FlatMap64::Slot> co_counts;
+    uint64_t batches = 0;  ///< AddRun calls merged into this run
+  };
+
+  /// Merges the newest run into the one before it.
+  void FoldNewestRun();
+
+  uint64_t num_columns_ = 0;
+  std::vector<Run> runs_;  ///< batches strictly decreasing from the front
+  Stage own_stage_;
 };
 
 }  // namespace autodetect

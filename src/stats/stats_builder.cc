@@ -49,7 +49,7 @@ void CorpusStats::Insert(int lang_id, LanguageStats stats) {
   AD_CHECK(!it->second.frozen() && !it->second.uses_sketch() &&
            !stats.frozen() && !stats.uses_sketch())
       << "Insert over existing unmergeable stats for language " << lang_id;
-  it->second.Merge(stats);
+  it->second.MergeCanonical(stats);
 }
 
 void CorpusStats::Retain(const std::vector<int>& keep) {
@@ -61,14 +61,6 @@ void CorpusStats::Retain(const std::vector<int>& keep) {
     if (it != per_language_.end()) kept[id] = std::move(it->second);
   }
   per_language_ = std::move(kept);
-}
-
-void CorpusStats::EnsureHashed() {
-  std::vector<LanguageStats*> all;
-  all.reserve(per_language_.size());
-  for (auto& [id, stats] : per_language_) all.push_back(&stats);
-  ThreadPool::ParallelFor(all.size(), /*num_threads=*/0,
-                          [&](size_t i) { all[i]->EnsureHashed(); });
 }
 
 void CorpusStats::Serialize(BinaryWriter* writer) const {
@@ -125,9 +117,9 @@ Result<CorpusStats> CorpusStats::Deserialize(BinaryReader* reader) {
   // Pass 2 (parallel): parse each blob with an in-memory reader.
   std::vector<LanguageStats> parsed(n);
   std::vector<Status> statuses(n);
-  // Hash materialization is deferred: most deserialized statistics are
-  // merged and re-serialized by a reducer; the training session materializes
-  // at its first point-query stage (CorpusStats::EnsureHashed).
+  // Hash materialization is deferred: deserialized statistics are merged,
+  // re-serialized and read by merge-join; the training session hashes only
+  // what it freezes into a model.
   ThreadPool::ParallelFor(n, /*num_threads=*/0, [&](size_t i) {
     BinaryReader blob_reader(blobs[i].data(), blobs[i].size());
     Result<LanguageStats> stats =
@@ -182,10 +174,9 @@ struct TokenizedBatch {
 };
 
 /// A contiguous range of candidate languages owned by exactly one task
-/// chain: batches queue up per chunk and are drained strictly in order, so
-/// each LanguageStats sees columns in the global stream order (same results
-/// as the old serial-per-language loop) without any cross-batch barrier —
-/// the reader keeps tokenizing batch k+1 while workers count batch k.
+/// chain: batches queue up per chunk and are drained in order without any
+/// cross-batch barrier — the reader keeps tokenizing batch k+1 while workers
+/// count batch k. Each batch becomes one sorted run per language.
 struct LanguageChunk {
   size_t begin = 0;  ///< index range into lang_ids
   size_t end = 0;
@@ -193,6 +184,12 @@ struct LanguageChunk {
   std::mutex mu;
   std::deque<std::shared_ptr<TokenizedBatch>> pending;
   bool draining = false;
+  /// The batch's keys: value v of the batch under the chunk's language s at
+  /// value_keys[v * (end - begin) + s].
+  std::vector<uint64_t> value_keys;
+  /// Lent to each of the chunk's languages in turn (see
+  /// LanguageStatsBuilder::Stage).
+  LanguageStatsBuilder::Stage stage;
 };
 
 }  // namespace
@@ -207,7 +204,7 @@ CorpusStats BuildCorpusStats(ColumnSource* source, const StatsBuilderOptions& op
     AD_CHECK(id >= 0 && id < static_cast<int>(all_langs.size()));
   }
 
-  std::vector<LanguageStats> per_lang(lang_ids.size());
+  std::vector<LanguageStatsBuilder> per_lang(lang_ids.size());
 
   MetricsRegistry* registry = OrDefaultRegistry(options.metrics);
   Counter* columns_total = registry->GetCounter("train.columns_total");
@@ -245,25 +242,37 @@ CorpusStats BuildCorpusStats(ColumnSource* source, const StatsBuilderOptions& op
   auto process_batch = [&](LanguageChunk& chunk, const TokenizedBatch& tokenized) {
     StageTimer count_timer(count_us);
     const size_t n_langs = chunk.end - chunk.begin;
-    std::vector<uint64_t> value_keys(n_langs);
-    std::vector<std::vector<uint64_t>> col_keys(n_langs);
-    uint64_t patterns_ingested = 0;
+    // Key every value once under all of the chunk's languages (the shared
+    // tokenization kernel), then count language by language, so one stage
+    // serves the whole chunk.
+    size_t batch_values = 0;
+    for (const TokenizedValues& column : tokenized.columns) batch_values += column.size();
+    chunk.value_keys.resize(batch_values * n_langs);
+    uint64_t* row = chunk.value_keys.data();
     for (const TokenizedValues& column : tokenized.columns) {
-      for (auto& keys : col_keys) keys.clear();
-      for (size_t v = 0; v < column.size(); ++v) {
-        chunk.keys->KeysFor(column.Runs(v), column.ClassMask(v), value_keys.data());
-        for (size_t s = 0; s < n_langs; ++s) col_keys[s].push_back(value_keys[s]);
+      for (size_t v = 0; v < column.size(); ++v, row += n_langs) {
+        chunk.keys->KeysFor(column.Runs(v), column.ClassMask(v), row);
       }
-      for (size_t s = 0; s < n_langs; ++s) {
-        auto& keys = col_keys[s];
+    }
+    std::vector<uint64_t> keys;
+    uint64_t patterns_ingested = 0;
+    for (size_t s = 0; s < n_langs; ++s) {
+      LanguageStatsBuilder& builder = per_lang[chunk.begin + s];
+      const uint64_t* value_key = chunk.value_keys.data() + s;
+      for (const TokenizedValues& column : tokenized.columns) {
+        keys.clear();
+        for (size_t v = 0; v < column.size(); ++v, value_key += n_langs) {
+          keys.push_back(*value_key);
+        }
         std::sort(keys.begin(), keys.end());
         keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
         if (keys.size() > options.max_distinct_patterns_per_column) {
           keys.resize(options.max_distinct_patterns_per_column);
         }
         patterns_ingested += keys.size();
-        per_lang[chunk.begin + s].AddColumn(keys);
+        builder.AddColumn(keys.data(), keys.size(), &chunk.stage);
       }
+      builder.AddRun(&chunk.stage);
     }
     patterns_total->Add(patterns_ingested);
   };
@@ -350,10 +359,18 @@ CorpusStats BuildCorpusStats(ColumnSource* source, const StatsBuilderOptions& op
     flight_cv.wait(lock, [&] { return batches_in_flight == 0; });
   }
   pool.WaitIdle();
+  chunks.clear();  // release the batch keys and stages
 
+  // Fold each language's remaining runs (one per set bit of the batch
+  // count) on the same workers.
+  std::vector<LanguageStats> built(lang_ids.size());
+  for (size_t i = 0; i < lang_ids.size(); ++i) {
+    pool.Submit([&, i] { built[i] = per_lang[i].Build(); });
+  }
+  pool.WaitIdle();
   CorpusStats out;
   for (size_t i = 0; i < lang_ids.size(); ++i) {
-    out.Insert(lang_ids[i], std::move(per_lang[i]));
+    out.Insert(lang_ids[i], std::move(built[i]));
   }
   return out;
 }

@@ -94,7 +94,8 @@ struct CalibrationOptions {
 /// per language — 144 full string scans per value. Construction instead
 /// tokenizes each *distinct* value once (run_tokenizer) and derives all
 /// per-language keys with the shared-tokenization kernel; per-language
-/// calibration then reads keys with no string work at all.
+/// calibration then reads keys with no string work at all, and looks their
+/// counts up by merge-join (see Score).
 class PreKeyedTrainingSet {
  public:
   /// \param lang_ids ids into LanguageSpace::All(); the `lang_pos` of the
@@ -104,27 +105,35 @@ class PreKeyedTrainingSet {
 
   size_t num_languages() const { return lang_ids_.size(); }
   const std::vector<int>& lang_ids() const { return lang_ids_; }
-  size_t num_positives() const { return positives_.size(); }
-  size_t num_negatives() const { return negatives_.size(); }
-  size_t size() const { return positives_.size() + negatives_.size(); }
+  size_t num_positives() const { return num_positives_; }
+  size_t num_negatives() const { return pairs_.size() - num_positives_; }
+  size_t size() const { return pairs_.size(); }
 
   /// \brief NPMI scores of every pair under language `lang_pos`, in the
   /// order positives-then-negatives (same contract as ScoreTrainingSet).
+  /// c(p) and c(p1,p2) are read once per distinct query: the keys are
+  /// radix-sorted and merge-joined against the language's sorted entry
+  /// arrays (LanguageStats::CountsInto / CoCountsInto), so the statistics
+  /// need no probe arrays. Bit-identical to NpmiScorer::Score per pair.
   std::vector<double> Score(size_t lang_pos, const LanguageStats& stats,
                             double smoothing_factor) const;
 
  private:
-  uint64_t Key(uint32_t value_idx, size_t lang_pos) const {
-    return keys_[static_cast<size_t>(value_idx) * lang_ids_.size() + lang_pos];
-  }
-
   std::vector<int> lang_ids_;
+  size_t num_values_ = 0;
   /// Key of distinct value v under language l at keys_[v * L + l].
   std::vector<uint64_t> keys_;
-  /// Pairs as indices into the distinct-value key matrix.
-  std::vector<std::pair<uint32_t, uint32_t>> positives_;
-  std::vector<std::pair<uint32_t, uint32_t>> negatives_;
+  /// Pairs as indices into the distinct values, positives first.
+  std::vector<std::pair<uint32_t, uint32_t>> pairs_;
+  size_t num_positives_ = 0;
 };
+
+/// \brief The Eq. 8 threshold walk over pre-computed scores, ordered
+/// positives then negatives — what both CalibrateLanguage overloads run
+/// after scoring.
+CalibrationResult CalibrateScores(const std::vector<double>& scores,
+                                  size_t num_positives, size_t num_negatives,
+                                  const CalibrationOptions& options);
 
 /// \brief Calibrates one language against the training set.
 CalibrationResult CalibrateLanguage(const GeneralizationLanguage& lang,

@@ -27,11 +27,11 @@
 /// Determinism contract: `MergeShards` produces the same counts for ANY
 /// order of the same input shards, and those counts equal a one-shot
 /// `BuildCorpusStats` pass over the whole corpus: merging is
-/// content-additive. The serialized form is sorted, so equal counts write
-/// equal bytes whatever probe layout the in-memory dictionaries have; the
-/// model's frozen bytes get the same guarantee from the training session,
-/// which canonicalizes (FlatMap64::Canonicalize) each selected language at
-/// the freeze point.
+/// content-additive. The serialized form is the sorted entry arrays the
+/// statistics are held in, so equal counts write equal bytes; the model's
+/// frozen bytes get the same guarantee from the training session, which
+/// builds each selected language's probe arrays in the canonical layout
+/// (LanguageStats::EnsureHashed) at the freeze point.
 
 namespace autodetect {
 

@@ -517,7 +517,7 @@ TEST(FlatMapTest, ExtremeKeysZeroAndMax) {
   EXPECT_EQ(m.size(), 502u);
 }
 
-TEST(FlatMapTest, MergeAddIntoNonEmptyWithOverlap) {
+TEST(FlatMapTest, MergeSortedIntoNonEmptyWithOverlap) {
   FlatMap64 a, b;
   a[0] = 1;
   a[10] = 100;
@@ -525,7 +525,7 @@ TEST(FlatMapTest, MergeAddIntoNonEmptyWithOverlap) {
   b[0] = 2;      // overlaps the zero-key side slot
   b[20] = 50;    // overlaps a regular key
   b[30] = 300;   // disjoint
-  a.MergeAdd(b);
+  a = FlatMap64::MergeSorted(a, b);
   EXPECT_EQ(a.size(), 4u);
   EXPECT_EQ(a.GetOr(0), 3u);
   EXPECT_EQ(a.GetOr(10), 100u);
@@ -537,14 +537,14 @@ TEST(FlatMapTest, MergeAddIntoNonEmptyWithOverlap) {
 
   // Merging an empty map is a no-op; merging into an empty map copies.
   FlatMap64 empty;
-  a.MergeAdd(empty);
+  a = FlatMap64::MergeSorted(a, empty);
   EXPECT_EQ(a.size(), 4u);
-  empty.MergeAdd(a);
+  empty = FlatMap64::MergeSorted(empty, a);
   EXPECT_EQ(empty.size(), 4u);
   EXPECT_EQ(empty.GetOr(0), 3u);
 }
 
-TEST(FlatMapTest, MergeAddFuzzAgainstUnorderedMap) {
+TEST(FlatMapTest, MergeSortedFuzzAgainstUnorderedMap) {
   Pcg32 rng(777);
   std::unordered_map<uint64_t, uint64_t> reference;
   FlatMap64 merged;
@@ -556,7 +556,7 @@ TEST(FlatMapTest, MergeAddFuzzAgainstUnorderedMap) {
       part[k] += delta;
       reference[k] += delta;
     }
-    merged.MergeAdd(part);
+    merged = FlatMap64::MergeSorted(merged, part);
   }
   EXPECT_EQ(merged.size(), reference.size());
   for (const auto& [k, v] : reference) EXPECT_EQ(merged.GetOr(k), v);
@@ -589,11 +589,12 @@ TEST(FlatMapTest, IncrementingAnExistingKeyAtFullLoadDoesNotGrow) {
   }
 }
 
-/// The knapsack prices a map by MemoryBytes() before Finalize canonicalizes
+/// The knapsack prices a map by MemoryBytes() before Finalize hashes
 /// it, so the price must equal the canonical copy's, whatever the history.
 void ExpectPricedLikeCanonicalCopy(const FlatMap64& m, const std::string& how) {
-  FlatMap64 canonical = m;
-  canonical.Canonicalize();
+  Result<FlatMap64> canonical_or = FlatMap64::FromSorted(m.CollectSorted());
+  ASSERT_TRUE(canonical_or.ok()) << how;
+  const FlatMap64& canonical = *canonical_or;
   EXPECT_EQ(m.MemoryBytes(), canonical.MemoryBytes()) << how;
   EXPECT_EQ(m.MemoryBytes(), canonical.capacity() * sizeof(FlatMap64::Slot)) << how;
 }
@@ -606,13 +607,11 @@ TEST(FlatMapTest, MemoryBytesEqualsTheCanonicalCopys) {
     for (uint64_t k = 1; k <= n; ++k) ++inserted[Mix64(k)];  // existing keys
     ExpectPricedLikeCanonicalCopy(inserted, "insertion, " + label);
 
-    FlatMap64 merged;
     FlatMap64 left, right;
     for (uint64_t k = 1; k <= n; ++k) ++(k % 3 == 0 ? left : right)[Mix64(k)];
     for (uint64_t k = 1; k <= n; k += 2) ++left[Mix64(k)];  // overlapping keys
-    merged.MergeAdd(left);
-    merged.MergeAdd(right);
-    ExpectPricedLikeCanonicalCopy(merged, "MergeAdd, " + label);
+    const FlatMap64 merged = FlatMap64::MergeSorted(left, right);
+    ExpectPricedLikeCanonicalCopy(merged, "MergeSorted, " + label);
 
     FlatMap64 reserved;
     reserved.Reserve(4 * n + 100);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 
 #include "common/random.h"
@@ -54,7 +56,7 @@ TEST(LanguageStatsTest, MergeAccumulates) {
   a.AddColumn({1, 2});
   b.AddColumn({2, 3});
   b.AddColumn({1, 2});
-  a.Merge(b);
+  a.MergeCanonical(b);
   EXPECT_EQ(a.num_columns(), 3u);
   EXPECT_EQ(a.Count(2), 3u);
   EXPECT_EQ(a.CoCount(1, 2), 2u);
@@ -420,6 +422,120 @@ TEST(StatsBuilderTest, RetainDropsOtherLanguages) {
   EXPECT_TRUE(stats.Has(1));
   EXPECT_FALSE(stats.Has(0));
   EXPECT_FALSE(stats.Has(2));
+}
+
+// ------------------------------------------------------ counting oracle
+
+/// Naive counts over the same per-column distinct keys the builder sees:
+/// std::map increments, pairs keyed by the ordered key pair itself.
+struct OracleCounts {
+  uint64_t columns = 0;
+  std::map<uint64_t, uint64_t> counts;
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> co_counts;
+
+  void AddColumn(const std::vector<uint64_t>& distinct) {
+    ++columns;
+    for (uint64_t k : distinct) ++counts[k];
+    for (size_t i = 0; i < distinct.size(); ++i) {
+      for (size_t j = i + 1; j < distinct.size(); ++j) {
+        ++co_counts[std::minmax(distinct[i], distinct[j])];
+      }
+    }
+  }
+};
+
+void ExpectMatchesOracle(const LanguageStats& stats, const OracleCounts& oracle,
+                         const std::string& label) {
+  EXPECT_EQ(stats.num_columns(), oracle.columns) << label;
+  EXPECT_EQ(stats.NumPatterns(), oracle.counts.size()) << label;
+  EXPECT_EQ(stats.NumCoPairs(), oracle.co_counts.size()) << label;
+  for (const auto& [key, count] : oracle.counts) {
+    ASSERT_EQ(stats.Count(key), count) << label << ", c(" << key << ")";
+  }
+  for (const auto& [pair, count] : oracle.co_counts) {
+    ASSERT_EQ(stats.CoCount(pair.first, pair.second), count)
+        << label << ", c(" << pair.first << ", " << pair.second << ")";
+  }
+}
+
+TEST(LanguageStatsBuilderTest, CountsMatchNaiveMapWithKeyZeroAndRunMerges) {
+  // A small key space holding both extremes, so keys repeat across columns
+  // and key 0 (the probe arrays' empty-slot sentinel) is common.
+  Pcg32 rng(0x5047);
+  std::vector<uint64_t> space = {0, 1, 2, UINT64_MAX};
+  while (space.size() < 40) space.push_back(rng.NextU64());
+  for (size_t run_columns : {1, 3, 2048}) {
+    const std::string label = std::to_string(run_columns) + " columns per run";
+    LanguageStatsBuilder builder;
+    LanguageStatsBuilder::Stage stage;
+    OracleCounts oracle;
+    for (int c = 0; c < 700; ++c) {
+      // Draws repeat within a column; a column counts each key once, in
+      // first-draw (unsorted) order.
+      std::vector<uint64_t> keys;
+      const uint32_t draws = rng.Below(12);
+      for (uint32_t d = 0; d < draws; ++d) {
+        const uint64_t key = space[rng.Below(static_cast<uint32_t>(space.size()))];
+        if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(key);
+      }
+      builder.AddColumn(keys.data(), keys.size(), &stage);
+      oracle.AddColumn(keys);
+      if ((c + 1) % run_columns == 0) builder.AddRun(&stage);
+    }
+    builder.AddRun(&stage);
+    LanguageStats stats = builder.Build();
+    ExpectMatchesOracle(stats, oracle, label + ", sorted");
+    stats.EnsureHashed();
+    ExpectMatchesOracle(stats, oracle, label + ", hashed");
+  }
+}
+
+TEST(StatsBuilderTest, CountsMatchNaiveMapAcrossBatchesAndThreads) {
+  GeneratorOptions gen;
+  gen.num_columns = 150;
+  gen.seed = 34;
+  Corpus corpus = GenerateCorpus(gen);
+  StatsBuilderOptions base;
+  base.language_ids = {LanguageSpace::IdOf(LanguageSpace::Leaf()), 17,
+                       LanguageSpace::IdOf(LanguageSpace::CrudeG()), 100, 143};
+  base.max_distinct_patterns_per_column = 8;  // the cap keeps the smallest keys
+
+  // The oracle keys every column's distinct values per language on its own.
+  const auto& all = LanguageSpace::All();
+  std::vector<OracleCounts> oracle(base.language_ids.size());
+  for (const Column& column : corpus.columns()) {
+    const std::vector<std::string> distinct =
+        DistinctValuesForStats(column.values, base.max_distinct_values_per_column);
+    for (size_t l = 0; l < base.language_ids.size(); ++l) {
+      std::vector<uint64_t> keys;
+      for (const std::string& v : distinct) {
+        keys.push_back(GeneralizeToKey(
+            v, all[static_cast<size_t>(base.language_ids[l])], base.generalize_options));
+      }
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      if (keys.size() > base.max_distinct_patterns_per_column) {
+        keys.resize(base.max_distinct_patterns_per_column);
+      }
+      oracle[l].AddColumn(keys);
+    }
+  }
+
+  for (size_t batch : {1, 3, 2048}) {
+    for (size_t threads : {1, 4}) {
+      StatsBuilderOptions opts = base;
+      opts.batch_columns = batch;
+      opts.num_threads = threads;
+      CorpusSource source(&corpus);
+      CorpusStats stats = BuildCorpusStats(&source, opts);
+      for (size_t l = 0; l < opts.language_ids.size(); ++l) {
+        ExpectMatchesOracle(stats.ForLanguage(opts.language_ids[l]), oracle[l],
+                            "batch " + std::to_string(batch) + ", " +
+                                std::to_string(threads) + " threads, language " +
+                                std::to_string(opts.language_ids[l]));
+      }
+    }
+  }
 }
 
 TEST(StatsBuilderTest, CorpusStatsSerializationRoundTrip) {

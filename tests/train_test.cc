@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "stats/npmi.h"
@@ -212,6 +213,89 @@ TEST(CalibrationTest, ScoreTrainingSetOrdersPositivesThenNegatives) {
   pos /= static_cast<double>(world.train.positives.size());
   neg /= static_cast<double>(world.train.negatives.size());
   EXPECT_GT(pos, neg);
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void ExpectSameCalibration(const CalibrationResult& actual,
+                           const CalibrationResult& expected, const std::string& label) {
+  EXPECT_EQ(actual.has_threshold, expected.has_threshold) << label;
+  EXPECT_TRUE(SameBits(actual.threshold, expected.threshold)) << label;
+  EXPECT_TRUE(SameBits(actual.precision_at_threshold, expected.precision_at_threshold))
+      << label;
+  EXPECT_EQ(actual.covered_count, expected.covered_count) << label;
+  EXPECT_TRUE(actual.covered_negatives == expected.covered_negatives) << label;
+  ASSERT_EQ(actual.curve.size(), expected.curve.size()) << label;
+  EXPECT_EQ(std::memcmp(actual.curve.data(), expected.curve.data(),
+                        actual.curve.size() * sizeof(PrecisionCurve::Point)),
+            0)
+      << label;
+}
+
+TEST(CalibrationMergeJoinTest, ScoresAndResultsBitIdenticalToHashedScorer) {
+  // Sorted statistics, as the training session holds them, over a random
+  // corpus and a spread of languages.
+  GeneratorOptions gen;
+  gen.num_columns = 400;
+  gen.seed = 35;
+  Corpus corpus = GenerateCorpus(gen);
+  CorpusSource source(&corpus);
+  StatsBuilderOptions opts;
+  opts.language_ids = {0, 5, 17, 40, LanguageSpace::IdOf(LanguageSpace::CrudeG()), 100, 143};
+  CorpusStats stats = BuildCorpusStats(&source, opts);
+
+  // Random pairs over corpus values, some identical, some with a value the
+  // corpus never saw.
+  Pcg32 rng(36);
+  std::vector<std::string> values = {"", "~~zz~~", "qqqqqqqqqqqqqqqqqqqqqqqq#", "0"};
+  for (const Column& column : corpus.columns()) {
+    for (size_t v = 0; v < column.values.size() && v < 4; ++v) values.push_back(column.values[v]);
+  }
+  auto pick = [&] { return values[rng.Below(static_cast<uint32_t>(values.size()))]; };
+  TrainingSet train;
+  for (int i = 0; i < 1500; ++i) {
+    const std::string u = pick();
+    const std::string v = i % 10 == 0 ? u : pick();
+    (i % 3 == 0 ? train.positives : train.negatives).push_back({u, v, i % 3 == 0});
+  }
+  PreKeyedTrainingSet prekeyed(train, opts.language_ids);
+
+  for (double f : {0.0, 0.1}) {
+    CalibrationOptions copts;
+    copts.smoothing_factor = f;
+    for (size_t pos = 0; pos < opts.language_ids.size(); ++pos) {
+      const int id = opts.language_ids[pos];
+      const std::string label = "language " + std::to_string(id) + ", f " + std::to_string(f);
+      const GeneralizationLanguage& lang = LanguageSpace::All()[static_cast<size_t>(id)];
+      const LanguageStats& sorted = stats.ForLanguage(id);
+      LanguageStats hashed = sorted;
+      hashed.EnsureHashed();
+      NpmiScorer scorer(&hashed, f);
+      std::vector<double> reference;
+      for (const auto* side : {&train.positives, &train.negatives}) {
+        for (const LabeledPair& p : *side) {
+          reference.push_back(scorer.Score(GeneralizeToKey(p.u, lang), GeneralizeToKey(p.v, lang)));
+        }
+      }
+
+      const std::vector<double> joined = prekeyed.Score(pos, sorted, f);
+      const std::vector<double> by_string = ScoreTrainingSet(lang, sorted, train, f);
+      ASSERT_EQ(joined.size(), reference.size()) << label;
+      ASSERT_EQ(by_string.size(), reference.size()) << label;
+      for (size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_TRUE(SameBits(joined[i], reference[i]))
+            << label << ", pair " << i << ": " << joined[i] << " vs " << reference[i];
+        ASSERT_TRUE(SameBits(by_string[i], reference[i])) << label << ", pair " << i;
+      }
+
+      const CalibrationResult expected = CalibrateScores(
+          reference, train.positives.size(), train.negatives.size(), copts);
+      ExpectSameCalibration(CalibrateLanguage(pos, sorted, prekeyed, copts), expected,
+                            label + ", pre-keyed");
+      ExpectSameCalibration(CalibrateLanguage(lang, sorted, train, copts), expected,
+                            label + ", by string");
+    }
+  }
 }
 
 // -------------------------------------------------------------- Selection
