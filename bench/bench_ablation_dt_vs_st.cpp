@@ -98,8 +98,7 @@ int main() {
       ml.threshold = theta;
       ml.train_coverage = pipeline.calibrations()[i].covered_count;
       ml.curve = pipeline.calibrations()[i].curve;
-      ml.stats = pipeline.stats().ForLanguage(lang_id);
-      ml.stats.EnsureHashed();
+      ml.stats = Freeze(pipeline.stats().ForLanguage(lang_id));
       dt_model.languages.push_back(std::move(ml));
     }
   }

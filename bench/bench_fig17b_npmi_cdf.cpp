@@ -45,7 +45,7 @@ int main() {
   // boost); most uniform pairs share a pattern, which is what produces the
   // ~60% mass at NPMI = 1.0 in Fig. 17(b).
   sup.diverse_positive_fraction = 0.0;
-  auto train_set = GenerateTrainingSet(&source, stats.ForLanguage(crude_id), sup);
+  auto train_set = GenerateTrainingSet(&source, Freeze(stats.ForLanguage(crude_id)), sup);
   AD_CHECK_OK(train_set.status());
 
   std::vector<double> s1 = ScoreTrainingSet(l1, stats.ForLanguage(id1), *train_set, 0.1);

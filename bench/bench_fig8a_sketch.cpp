@@ -77,7 +77,7 @@ std::string ReadFileBytes(const std::string& path) {
 /// Million Estimate() calls per second against a frozen blob sized like
 /// one gate-build language sketch, over a zipf key stream (the
 /// co-occurrence key distribution the detector actually issues). Measures
-/// the min estimator because that is what LanguageStats::CoCount serves.
+/// the min estimator because that is what FrozenStats::CoCount serves.
 double MeasureEstimateMops() {
   CountMinSketch sketch =
       CountMinSketch::FromMemoryBudget(kProbeSketchBytes, 4, 0xadde7ec7);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <string>
+
 #include "baselines/baseline.h"
 #include "detect/detector.h"
 
@@ -42,7 +44,7 @@ class AutoDetectMethod final : public ErrorDetectorMethod {
 
  private:
   const Detector* detector_;
-  std::string_view name_;
+  std::string name_;
 };
 
 }  // namespace autodetect

@@ -13,18 +13,18 @@
 #include "common/result.h"
 
 /// \file flat_map.h
-/// Open-addressing u64→u64 hash map for the statistics dictionaries and the
-/// value interner. Key/value pairs sit inline in one power-of-two array with
-/// linear probing — one cache line per lookup in the common case, no
-/// per-entry allocation. It is tombstone-free: the statistics never erase
-/// individual keys (CompressToSketch drops the whole dictionary), so no erase
-/// operation is offered and probe chains never degrade.
+/// Open-addressing u64→u64 hash map and the read-only view over its frozen
+/// form. Key/value pairs sit inline in one power-of-two array with linear
+/// probing — one cache line per lookup in the common case, no per-entry
+/// allocation. It is tombstone-free: nothing erases individual keys, so no
+/// erase operation is offered and probe chains never degrade.
 ///
-/// A map can also hold only its entries in ascending key order (FromSorted
-/// with defer_hash, MergeSorted): the training statistics' form from build to
-/// freeze. Counting sorts and merges runs instead of incrementing probes, and
-/// calibration reads counts by merge-join (JoinSorted), so a probe array is
-/// built (EnsureHashed) only for what is frozen into a model.
+/// FlatMap64 is the value interner's per-column index: find-or-insert,
+/// lookups, Reserve and a capacity-keeping Reset. FlatMap64::FrozenView
+/// serves the frozen statistics tables (stats/frozen_stats.h) straight from
+/// a byte blob, typically inside a memory-mapped model; AppendCanonical
+/// writes that blob from ascending (key, count) entries in the canonical
+/// layout, so the frozen bytes are a pure function of the counts.
 
 namespace autodetect {
 
@@ -50,30 +50,15 @@ class FlatMap64 {
   bool empty() const { return size() == 0; }
   size_t capacity() const { return slots_.size(); }
 
-  /// Probe-array bytes this map freezes to in the canonical layout — the
-  /// size(L) input of the selection knapsack. A function of the entry count
-  /// alone, not of the resident array: a map that was reserved ahead of its
-  /// content, or is still hash-deferred, is priced the same as its
-  /// canonical copy.
-  size_t MemoryBytes() const {
-    return size_ == 0 ? 0 : RequiredCapacity(size_) * sizeof(Slot);
-  }
-
   /// \brief Ensures capacity for `n` entries without rehashing. Call before
-  /// bulk insertion (merge, deserialize) to avoid rehash storms.
+  /// bulk insertion to avoid rehash storms.
   void Reserve(size_t n) {
-    if (hash_deferred_) EnsureHashed();
     size_t needed = RequiredCapacity(n);
     if (needed > slots_.size()) Rehash(needed);
   }
 
-  /// \brief Find-or-insert; inserted values start at 0 (counts increment
-  /// through this reference).
+  /// \brief Find-or-insert; inserted values start at 0.
   uint64_t& operator[](uint64_t key) {
-    if (hash_deferred_) EnsureHashed();
-    // The returned reference may be written through, so any cached sorted
-    // copy of the entries can go stale — drop it unconditionally.
-    if (has_sorted_) DropSortedCache();
     if (key == 0) {
       has_zero_ = true;
       return zero_value_;
@@ -87,15 +72,9 @@ class FlatMap64 {
     return slots_[i].value;
   }
 
-  /// Pointer to the value for `key`, or nullptr if absent. A hash-deferred
-  /// map answers by binary search over its sorted entries, O(log n);
-  /// EnsureHashed() first when many point queries follow.
+  /// Pointer to the value for `key`, or nullptr if absent.
   const uint64_t* Find(uint64_t key) const {
     if (key == 0) return has_zero_ ? &zero_value_ : nullptr;
-    if (hash_deferred_) {
-      auto it = std::lower_bound(sorted_.begin(), sorted_.end(), key, KeyLess);
-      return it != sorted_.end() && it->key == key ? &it->value : nullptr;
-    }
     if (slots_.empty()) return nullptr;
     size_t i = ProbeStart(key);
     while (true) {
@@ -112,259 +91,18 @@ class FlatMap64 {
     return v == nullptr ? fallback : *v;
   }
 
-  bool Contains(uint64_t key) const { return Find(key) != nullptr; }
-
-  /// \brief Builds a map from entries in strictly ascending key order (key 0,
-  /// if present, first — i.e. sorted). The probe array comes out in the
-  /// *canonical* layout: capacity reserved for exactly these entries, the
-  /// non-zero keys inserted in ascending order. Linear-probing layout is
-  /// otherwise a function of insertion and growth history, so this is what
-  /// makes the frozen blob (and ForEach order) a pure function of the
-  /// content, whatever shard order or fold history produced the counts. The
-  /// sorted vector is retained as a cache (see sorted_cache()) so a later
-  /// serialization, sorted merge or JoinSorted skips a collect-and-sort.
-  /// Order violations or duplicates fail closed with Corruption.
-  ///
-  /// With `defer_hash` the probe array itself is not built: the map carries
-  /// only the sorted entries (plus size bookkeeping) until EnsureHashed().
-  /// This is the training profile — statistics that are counted, merged,
-  /// serialized and read by merge-join skip the hash build; only what a
-  /// model freezes pays it. Point queries on a deferred map binary-search
-  /// the sorted entries.
-  static Result<FlatMap64> FromSorted(std::vector<Slot>&& pairs,
-                                      bool defer_hash = false) {
-    uint64_t prev = 0;
-    const size_t start = (!pairs.empty() && pairs[0].key == 0) ? 1 : 0;
-    for (size_t idx = start; idx < pairs.size(); ++idx) {
-      if (pairs[idx].key == 0 || (idx > start && pairs[idx].key <= prev)) {
-        return Status::Corruption(
-            "map entries are not in strictly ascending key order");
-      }
-      prev = pairs[idx].key;
-    }
-    return FromSortedUnchecked(std::move(pairs), defer_hash);
-  }
-
-  static Result<FlatMap64> FromSorted(const Slot* pairs, size_t n) {
-    return FromSorted(std::vector<Slot>(pairs, pairs + n));
-  }
-
-  /// \brief Materializes the probe array of a hash-deferred map (no-op
-  /// otherwise). The sorted cache is dropped afterwards: once point queries
-  /// begin the cache has served its merge/serialize purpose, and keeping
-  /// both representations would double the footprint.
-  void EnsureHashed() {
-    if (!hash_deferred_) return;
-    hash_deferred_ = false;
-    const size_t start = has_zero_ ? 1 : 0;
-    const size_t m = sorted_.size() - start;
-    if (m > 0) {
-      const size_t cap = RequiredCapacity(m);
-      slots_.assign(cap, Slot{});
-      for (size_t idx = start; idx < sorted_.size(); ++idx) {
-        const Slot& s = sorted_[idx];
-        size_t i = static_cast<size_t>(Mix64(s.key)) & (cap - 1);
-        while (slots_[i].key != 0) i = (i + 1) & (cap - 1);
-        slots_[i] = s;
-      }
-    }
-    DropSortedCache();
-  }
-
-  bool hash_deferred() const { return hash_deferred_; }
-
-  /// \brief Merges two maps into a new map, summing values on overlapping
-  /// keys: a two-pointer merge over both maps' ascending-order entries (from
-  /// the cache when available). The result stays hash-deferred: counts are
-  /// folded many times, and only a consumer that probes pays the build.
-  static FlatMap64 MergeSorted(const FlatMap64& a, const FlatMap64& b) {
-    std::vector<Slot> local_a, local_b;
-    const std::vector<Slot>* sa = a.sorted_cache();
-    if (sa == nullptr) {
-      local_a = a.CollectSorted();
-      sa = &local_a;
-    }
-    const std::vector<Slot>* sb = b.sorted_cache();
-    if (sb == nullptr) {
-      local_b = b.CollectSorted();
-      sb = &local_b;
-    }
-    return FromSortedUnchecked(MergeEntries(*sa, *sb), /*defer_hash=*/true);
-  }
-
-  /// \brief Two ascending entry arrays merged into one, values summed on
-  /// equal keys. The output is sized exactly (a counting pass first), so
-  /// merged arrays that are kept carry no slack capacity.
-  static std::vector<Slot> MergeEntries(const std::vector<Slot>& a,
-                                        const std::vector<Slot>& b) {
-    size_t shared = 0;  // keys on both sides: merged size is |a| + |b| - shared
-    for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
-      if (a[i].key < b[j].key) {
-        ++i;
-      } else if (b[j].key < a[i].key) {
-        ++j;
-      } else {
-        ++shared;
-        ++i;
-        ++j;
-      }
-    }
-    std::vector<Slot> merged;
-    merged.reserve(a.size() + b.size() - shared);
-    size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i].key < b[j].key) {
-        merged.push_back(a[i++]);
-      } else if (b[j].key < a[i].key) {
-        merged.push_back(b[j++]);
-      } else {
-        merged.push_back(Slot{a[i].key, a[i].value + b[j].value});
-        ++i;
-        ++j;
-      }
-    }
-    merged.insert(merged.end(), a.begin() + static_cast<ptrdiff_t>(i), a.end());
-    merged.insert(merged.end(), b.begin() + static_cast<ptrdiff_t>(j), b.end());
-    return merged;
-  }
-
-  /// \brief Batch point query: for each (key, index) in `queries`, ascending
-  /// by key (duplicates allowed), sets out[index] to the key's value, or 0.
-  /// With sorted entries at hand this is one galloping merge-join — each
-  /// query skips ahead by doubling steps then binary-searches the last one —
-  /// so a batch costs O(q log(n/q)) sequential reads rather than q random
-  /// probes; a hashed-only map probes once per query.
-  void JoinSorted(const std::vector<Slot>& queries, uint64_t* out) const {
-    if (!has_sorted_) {
-      for (const Slot& q : queries) out[q.value] = GetOr(q.key);
-      return;
-    }
-    const Slot* e = sorted_.data();
-    const Slot* const end = e + sorted_.size();
-    for (const Slot& q : queries) {
-      if (e != end && e->key < q.key) {
-        // Invariant: lo->key < q.key, and hi is end or hi->key >= q.key.
-        const Slot* lo = e;
-        const Slot* hi = end;
-        for (size_t step = 1; static_cast<size_t>(end - lo) > step; step <<= 1) {
-          if (lo[step].key >= q.key) {
-            hi = lo + step;
-            break;
-          }
-          lo += step;
-        }
-        e = std::lower_bound(lo + 1, hi, q.key, KeyLess);
-      }
-      out[q.value] = (e != end && e->key == q.key) ? e->value : 0;
-    }
-  }
-
-  /// Entries in ascending key order (zero key, if present, first): a copy of
-  /// the sorted cache when there is one, else collected from the probe array
-  /// and sorted.
-  std::vector<Slot> CollectSorted() const {
-    if (has_sorted_) return sorted_;
-    std::vector<Slot> pairs;
-    pairs.reserve(size());
-    ForEach([&pairs](uint64_t k, uint64_t v) { pairs.push_back(Slot{k, v}); });
-    std::sort(pairs.begin(), pairs.end(),
-              [](const Slot& a, const Slot& b) { return a.key < b.key; });
-    return pairs;
-  }
-
-  /// \brief Cached ascending-order entry array, or nullptr. Present on maps
-  /// built by FromSorted / MergeSorted that have not been hashed or mutated
-  /// since; invalidated by EnsureHashed and by any operator[] access (the
-  /// reference may be written through). Lets serialization, sorted merges
-  /// and JoinSorted skip a collect-and-sort pass over large dictionaries.
-  const std::vector<Slot>* sorted_cache() const {
-    return has_sorted_ ? &sorted_ : nullptr;
-  }
-
-  /// Drops all entries and releases the backing array.
-  void Clear() {
-    std::vector<Slot>().swap(slots_);
-    size_ = 0;
-    has_zero_ = false;
-    zero_value_ = 0;
-    hash_deferred_ = false;
-    if (has_sorted_) DropSortedCache();
-  }
-
   /// \brief Drops all entries but keeps the backing array for reuse — the
-  /// per-column reset of the value interner, where Clear()'s deallocation
-  /// would buy a malloc/free pair per column.
+  /// value interner's per-column reset, where releasing the array would buy
+  /// a malloc/free pair per column.
   void Reset() {
     std::fill(slots_.begin(), slots_.end(), Slot{});
     size_ = 0;
     has_zero_ = false;
     zero_value_ = 0;
-    hash_deferred_ = false;
-    if (has_sorted_) DropSortedCache();
-  }
-
-  /// Visits every (key, value) pair. Order is the probe-array order: stable
-  /// for a fixed insertion sequence, unspecified otherwise.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    AD_CHECK(!hash_deferred_);  // call EnsureHashed() before iteration
-    if (has_zero_) fn(static_cast<uint64_t>(0), zero_value_);
-    for (const Slot& s : slots_) {
-      if (s.key != 0) fn(s.key, s.value);
-    }
-  }
-
-  /// Frozen blob size in bytes (always a multiple of 8).
-  size_t FrozenBytes() const { return kFrozenHeaderWords * 8 + slots_.size() * sizeof(Slot); }
-
-  /// \brief Appends the frozen representation to `out`: a 4-word header
-  /// (size, has_zero, zero_value, capacity) followed by the probe array
-  /// verbatim. The caller is responsible for placing the blob at an 8-byte
-  /// aligned offset; FrozenView::FromBytes rejects misaligned input.
-  void AppendFrozen(std::string* out) const {
-    AD_CHECK(!hash_deferred_);  // freezing stores the probe array verbatim
-    uint64_t header[kFrozenHeaderWords] = {size_, has_zero_ ? 1u : 0u, zero_value_,
-                                           slots_.size()};
-    out->append(reinterpret_cast<const char*>(header), sizeof(header));
-    if (!slots_.empty()) {
-      out->append(reinterpret_cast<const char*>(slots_.data()),
-                  slots_.size() * sizeof(Slot));
-    }
   }
 
  private:
-  static constexpr size_t kFrozenHeaderWords = 4;
   static constexpr size_t kMinCapacity = 16;
-
-  /// Canonical build from entries already known to be in strictly ascending
-  /// key order (zero key first). The vector is adopted as the sorted cache;
-  /// with `defer_hash` the probe array is left for EnsureHashed().
-  static FlatMap64 FromSortedUnchecked(std::vector<Slot>&& pairs,
-                                       bool defer_hash) {
-    FlatMap64 map;
-    size_t start = 0;
-    if (!pairs.empty() && pairs[0].key == 0) {
-      map.has_zero_ = true;
-      map.zero_value_ = pairs[0].value;
-      start = 1;
-    }
-    const size_t m = pairs.size() - start;
-    map.size_ = m;
-    if (m > 0 && !defer_hash) {
-      const size_t cap = RequiredCapacity(m);
-      map.slots_.assign(cap, Slot{});
-      for (size_t idx = start; idx < pairs.size(); ++idx) {
-        const Slot& s = pairs[idx];
-        size_t i = static_cast<size_t>(Mix64(s.key)) & (cap - 1);
-        while (map.slots_[i].key != 0) i = (i + 1) & (cap - 1);
-        map.slots_[i] = s;
-      }
-    }
-    map.hash_deferred_ = defer_hash && m > 0;
-    map.sorted_ = std::move(pairs);
-    map.has_sorted_ = true;
-    return map;
-  }
 
   /// Inserts `key`, known to be absent, at the empty slot `i` its probe
   /// reached. Growth happens here and only here, so incrementing an existing
@@ -378,13 +116,6 @@ class FlatMap64 {
     slots_[i].key = key;
     ++size_;
     return slots_[i].value;
-  }
-
-  static bool KeyLess(const Slot& s, uint64_t key) { return s.key < key; }
-
-  void DropSortedCache() {
-    std::vector<Slot>().swap(sorted_);
-    has_sorted_ = false;
   }
 
   /// Smallest power-of-two capacity keeping load factor <= 0.75 for n keys.
@@ -413,27 +144,56 @@ class FlatMap64 {
   size_t size_ = 0;  ///< non-zero keys stored in slots_
   bool has_zero_ = false;
   uint64_t zero_value_ = 0;
-  /// Ascending-order entry cache (see sorted_cache()). Mirrors the content
-  /// exactly while has_sorted_ is set; dropped on any potential mutation.
-  std::vector<Slot> sorted_;
-  bool has_sorted_ = false;
-  /// True while the probe array has not been materialized from sorted_
-  /// (FromSorted with defer_hash, or MergeSorted). Point queries
-  /// binary-search sorted_; iteration hard-fails until EnsureHashed().
-  bool hash_deferred_ = false;
 };
 
-/// \brief Read-only view over a frozen FlatMap64 blob — typically bytes
+/// \brief Read-only view over a frozen probe-table blob — typically bytes
 /// inside a memory-mapped ADMODEL2 section. Probing runs directly against
 /// the stored array: no deserialization, no allocation, pages fault in
 /// lazily as keys are looked up. The view does not own the bytes; whoever
-/// produced them (the mapped file) must outlive it.
+/// produced them (the mapped file, or a frozen statistics buffer) must
+/// outlive it.
 class FlatMap64::FrozenView {
  public:
   FrozenView() = default;
 
+  /// \brief Probe-array bytes of the canonical layout for `nonzero_keys`
+  /// keys (key 0 lives in the header): the size(L) price the selection
+  /// knapsack charges, a function of the entry count alone.
+  static size_t CanonicalBytes(size_t nonzero_keys) {
+    return nonzero_keys == 0 ? 0 : RequiredCapacity(nonzero_keys) * sizeof(Slot);
+  }
+
+  /// \brief Appends the frozen blob of `sorted` — entries in strictly
+  /// ascending key order, key 0 (if present) first — to `out`: a 4-word
+  /// header (non-zero key count, has_zero, zero_value, capacity) and the
+  /// probe array in the *canonical* layout: capacity sized for exactly these
+  /// keys (CanonicalBytes), non-zero keys placed in ascending order. Linear
+  /// probing's layout is otherwise a function of insertion and growth
+  /// history; this makes the frozen bytes, and the probe order a sketch is
+  /// fed in, a pure function of the counts.
+  static void AppendCanonical(const std::vector<Slot>& sorted, std::vector<uint64_t>* out) {
+    const bool has_zero = !sorted.empty() && sorted[0].key == 0;
+    const size_t start = has_zero ? 1 : 0;
+    const size_t m = sorted.size() - start;
+    const size_t cap = CanonicalBytes(m) / sizeof(Slot);
+    const size_t base = out->size();
+    out->resize(base + kFrozenHeaderWords + 2 * cap, 0);
+    uint64_t* header = out->data() + base;
+    header[0] = m;
+    header[1] = has_zero ? 1 : 0;
+    header[2] = has_zero ? sorted[0].value : 0;
+    header[3] = cap;
+    uint64_t* slots = header + kFrozenHeaderWords;  // (key, value) word pairs
+    for (size_t idx = start; idx < sorted.size(); ++idx) {
+      size_t i = static_cast<size_t>(Mix64(sorted[idx].key)) & (cap - 1);
+      while (slots[2 * i] != 0) i = (i + 1) & (cap - 1);
+      slots[2 * i] = sorted[idx].key;
+      slots[2 * i + 1] = sorted[idx].value;
+    }
+  }
+
   /// \brief Validates and adopts a frozen blob at `data` (which must be
-  /// 8-byte aligned). Consumes exactly FrozenSize(capacity) bytes from the
+  /// 8-byte aligned). Consumes exactly bytes() bytes from the
   /// front of [data, data + len); trailing bytes are the caller's problem.
   /// Fails with Corruption on misalignment, a non-power-of-two capacity, or
   /// an implausible size, and with IOError when `len` is too short.
@@ -503,8 +263,7 @@ class FlatMap64::FrozenView {
     return v == nullptr ? fallback : *v;
   }
 
-  bool Contains(uint64_t key) const { return Find(key) != nullptr; }
-
+  /// Visits every (key, value) pair: key 0 first, then probe-array order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     if (has_zero_) fn(static_cast<uint64_t>(0), zero_value_);
@@ -524,16 +283,9 @@ class FlatMap64::FrozenView {
     }
   }
 
-  /// Rebuilds an owning FlatMap64 with the same contents (used when a frozen
-  /// model must be mutated, e.g. merged into a new training run).
-  FlatMap64 Thaw() const {
-    FlatMap64 map;
-    map.Reserve(size());
-    ForEach([&map](uint64_t key, uint64_t value) { map[key] = value; });
-    return map;
-  }
-
  private:
+  static constexpr size_t kFrozenHeaderWords = 4;
+
   const Slot* slots_ = nullptr;
   size_t capacity_ = 0;
   size_t size_ = 0;

@@ -1,6 +1,10 @@
 #include "detect/model.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -104,7 +108,7 @@ Status Model::Save(const std::string& path, ModelFormat) const {
     l.curve.AppendFrozen(&data);
     loc.curve_len = data.size() - loc.curve_off;
     loc.stats_off = data.size();
-    l.stats.AppendFrozen(&data, /*external_sketch=*/l.stats.uses_sketch());
+    l.stats.AppendFrozen(&data);
     loc.stats_len = data.size() - loc.stats_off;
     if (l.stats.uses_sketch()) {
       loc.skch_off = skch.size();
@@ -146,38 +150,51 @@ Status Model::Save(const std::string& path, ModelFormat) const {
   const uint64_t file_size =
       any_sketch ? skch_off + skch.size() : data_off + data.size();
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  BinaryWriter w(&out);
-  w.WriteRaw(kMagicV2, 8);
-  w.WriteU32(any_sketch ? kV3Version : kV2Version);
-  // Native endianness marker: frozen sections hold host-endian words, so a
-  // reader on the other byte order must reject the file instead of probing
-  // garbage. Written raw (not via the LE serde path) on purpose.
-  const uint32_t endian_marker = 1;
-  w.WriteRaw(&endian_marker, 4);
-  w.WriteU64(kV2Alignment);
-  w.WriteU64(file_size);
-  w.WriteU64(meta_off);
-  w.WriteU64(meta_bytes.size());
-  w.WriteU64(XxHash64(meta_bytes.data(), meta_bytes.size()));
-  w.WriteU64(data_off);
-  w.WriteU64(data.size());
-  w.WriteU64(XxHash64(data.data(), data.size()));
-  if (any_sketch) {
-    w.WriteU64(skch_off);
-    w.WriteU64(skch.size());
-    w.WriteU64(XxHash64(skch.data(), skch.size()));
-  }
-  w.AlignTo(kV2Alignment);
-  w.WriteRaw(meta_bytes.data(), meta_bytes.size());
-  w.AlignTo(kV2Alignment);
-  w.WriteRaw(data.data(), data.size());
-  if (any_sketch) {
+  // Land by rename: truncating `path` in place would change the bytes under
+  // any process that has it mapped (or raise SIGBUS there).
+  const std::string tmp = StrFormat("%s.tmp.%ld", path.c_str(), static_cast<long>(getpid()));
+  Status written = [&]() -> Status {
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out) return Status::IOError("cannot open " + tmp + " for writing");
+    BinaryWriter w(&out);
+    w.WriteRaw(kMagicV2, 8);
+    w.WriteU32(any_sketch ? kV3Version : kV2Version);
+    // Native endianness marker: frozen sections hold host-endian words, so
+    // a reader on the other byte order must reject the file instead of
+    // probing garbage. Written raw (not via the LE serde path) on purpose.
+    const uint32_t endian_marker = 1;
+    w.WriteRaw(&endian_marker, 4);
+    w.WriteU64(kV2Alignment);
+    w.WriteU64(file_size);
+    w.WriteU64(meta_off);
+    w.WriteU64(meta_bytes.size());
+    w.WriteU64(XxHash64(meta_bytes.data(), meta_bytes.size()));
+    w.WriteU64(data_off);
+    w.WriteU64(data.size());
+    w.WriteU64(XxHash64(data.data(), data.size()));
+    if (any_sketch) {
+      w.WriteU64(skch_off);
+      w.WriteU64(skch.size());
+      w.WriteU64(XxHash64(skch.data(), skch.size()));
+    }
     w.AlignTo(kV2Alignment);
-    w.WriteRaw(skch.data(), skch.size());
+    w.WriteRaw(meta_bytes.data(), meta_bytes.size());
+    w.AlignTo(kV2Alignment);
+    w.WriteRaw(data.data(), data.size());
+    if (any_sketch) {
+      w.AlignTo(kV2Alignment);
+      w.WriteRaw(skch.data(), skch.size());
+    }
+    AD_RETURN_NOT_OK(w.status());
+    out.close();
+    return out ? Status::OK() : Status::IOError("cannot finish writing " + tmp);
+  }();
+  if (written.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    written = Status::IOError("cannot rename " + tmp + " to " + path + ": " +
+                              std::strerror(errno));
   }
-  return w.status().WithContext("writing " + path);
+  if (!written.ok()) std::remove(tmp.c_str());
+  return written.WithContext("writing " + path);
 }
 
 Result<Model> Model::Load(const std::string& path) {
@@ -330,14 +347,14 @@ Result<Model> Model::Load(const std::string& path) {
     AD_ASSIGN_OR_RETURN(l.curve,
                         PrecisionCurve::FromFrozen(data + curve_off, curve_len));
     AD_ASSIGN_OR_RETURN(l.stats,
-                        LanguageStats::FromFrozen(data + stats_off, stats_len));
-    // A stats blob declaring an external sketch and a META row carrying one
-    // must agree — a mismatch either way is structural corruption, never a
+                        FrozenStats::FromFrozen(data + stats_off, stats_len, backing));
+    // A stats blob declaring a sketch and a META row carrying one must
+    // agree — a mismatch either way is structural corruption, never a
     // language silently served without its co-occurrence table.
-    if (l.stats.sketch_external() != (lang_skch_len > 0)) {
+    if (l.stats.uses_sketch() != (lang_skch_len > 0)) {
       return meta.Corrupt("language sketch flag / SKCH reference mismatch");
     }
-    if (l.stats.sketch_external()) {
+    if (l.stats.uses_sketch()) {
       AD_ASSIGN_OR_RETURN(CountMinSketch::FrozenView view,
                           CountMinSketch::FrozenView::FromBytes(
                               base + skch_off + lang_skch_off, lang_skch_len));

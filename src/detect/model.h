@@ -6,7 +6,7 @@
 
 #include "common/result.h"
 #include "io/mmap_file.h"
-#include "stats/language_stats.h"
+#include "stats/frozen_stats.h"
 #include "text/language.h"
 #include "train/calibration.h"
 
@@ -47,7 +47,7 @@ struct ModelLanguage {
   /// highest-coverage language is the "BestOne" of the ablation).
   uint64_t train_coverage = 0;
   PrecisionCurve curve;
-  LanguageStats stats;
+  FrozenStats stats;
 
   const GeneralizationLanguage& language() const {
     return LanguageSpace::All()[static_cast<size_t>(lang_id)];
@@ -84,7 +84,10 @@ class Model {
   std::string Summary() const;
 
   /// \brief Writes the model to `path` as the zero-copy ADMODEL2 artifact a
-  /// client maps at load time.
+  /// client maps at load time. The bytes go to a temp file in the same
+  /// directory (named with the pid) that is renamed over `path`, so a
+  /// process that has the old file mapped keeps reading the old bytes; on
+  /// failure the temp file is removed and `path` is untouched.
   Status Save(const std::string& path, ModelFormat format = ModelFormat::kV2) const;
 
   /// \brief Maps an ADMODEL2 file. Fails closed: any checksum, bounds, or
@@ -99,8 +102,9 @@ class Model {
   size_t FileBytes() const { return backing_ == nullptr ? 0 : backing_->size(); }
 
  private:
-  /// Keeps the mapped ADMODEL2 file alive for the lifetime of the frozen
-  /// views inside `languages`. Shared so Model copies stay cheap and safe.
+  /// The mapped ADMODEL2 file the frozen views inside `languages` read (each
+  /// language's FrozenStats shares ownership too). Shared so Model copies
+  /// stay cheap and safe.
   std::shared_ptr<MmapFile> backing_;
 };
 

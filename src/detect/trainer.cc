@@ -11,9 +11,6 @@ namespace autodetect {
 
 namespace {
 
-/// Depth LanguageStats::CompressToSketch builds sketches with.
-constexpr size_t kSketchDepth = 4;
-
 /// Counter bytes the co-occurrence store will actually occupy under the
 /// sketch ratio: the exact dictionary when compression is off, otherwise
 /// the power-of-two-width sketch CountMinSketch::FromMemoryBudget will
@@ -26,10 +23,10 @@ size_t PlannedCoBytes(size_t co_bytes, double ratio) {
   if (ratio >= 1.0) return co_bytes;
   const size_t target = std::max<size_t>(
       64, static_cast<size_t>(static_cast<double>(co_bytes) * ratio));
-  size_t width = CountMinSketch::WidthForBudget(target, kSketchDepth);
-  size_t planned = width * kSketchDepth * sizeof(uint32_t);
+  size_t width = CountMinSketch::WidthForBudget(target, SketchSpec::kDepth);
+  size_t planned = width * SketchSpec::kDepth * sizeof(uint32_t);
   if (planned >= co_bytes ||
-      CountMinSketch::FrozenBytes(width, kSketchDepth) >= co_bytes) {
+      CountMinSketch::FrozenBytes(width, SketchSpec::kDepth) >= co_bytes) {
     return co_bytes;
   }
   return planned;
@@ -145,7 +142,7 @@ Status TrainSession::AddShards(std::vector<StatsShard> shards) {
   const std::vector<int> ids = shard_.stats.LanguageIds();
   ThreadPool::ParallelFor(ids.size(), options_.num_threads, [&](size_t li) {
     LanguageStats& dst = shard_.stats.MutableForLanguage(ids[li]);
-    for (const StatsShard& s : shards) dst.MergeCanonical(s.stats.ForLanguage(ids[li]));
+    for (const StatsShard& s : shards) dst.Merge(s.stats.ForLanguage(ids[li]));
   });
   shard_.provenance = std::move(provenance);
   return AdoptStats();
@@ -158,21 +155,20 @@ Status TrainSession::Supervise(ColumnSource* source) {
   MetricsRegistry* registry = OrDefaultRegistry(options_.stats.metrics);
 
   // Distant supervision probes crude-G statistics pair by pair, so it gets
-  // a hashed copy of that one language. If crude G was not among the
-  // candidates, build it on a dedicated pass.
+  // that one language frozen. If crude G was not among the candidates,
+  // build it on a dedicated pass.
   int crude_id = LanguageSpace::IdOf(LanguageSpace::CrudeG());
   {
     TraceSpan span(registry, "train.stage.supervision_us");
-    LanguageStats crude_stats;
+    FrozenStats crude_stats;
     if (shard_.stats.Has(crude_id)) {
-      crude_stats = shard_.stats.ForLanguage(crude_id);
+      crude_stats = Freeze(shard_.stats.ForLanguage(crude_id));
     } else {
       StatsBuilderOptions crude_opts = options_.stats;
       crude_opts.language_ids = {crude_id};
       source->Reset();
-      crude_stats = BuildCorpusStats(source, crude_opts).ForLanguage(crude_id);
+      crude_stats = Freeze(BuildCorpusStats(source, crude_opts).ForLanguage(crude_id));
     }
-    crude_stats.EnsureHashed();
     source->Reset();
     AD_ASSIGN_OR_RETURN(
         training_set_,
@@ -209,8 +205,8 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
   }
 
   // Assemble selection candidates from usable calibrations. Candidates are
-  // priced at their EXACT frozen bytes (FlatMap64::MemoryBytes, a function
-  // of the entry count, so sorted stats cost what their hashed copy will) even
+  // priced at their EXACT frozen bytes (LanguageStats::MemoryBytes, a
+  // function of the entry count: what Freeze will lay out) even
   // when sketch knobs are on: sketching is an artifact-compression step
   // applied to the chosen ensemble, not a discount that lets the knapsack
   // trade estimator accuracy for extra languages. Pricing at sketched bytes
@@ -256,15 +252,16 @@ Result<Model> TrainSession::Finalize(size_t memory_budget_bytes,
     ml.threshold = cal.threshold;
     ml.train_coverage = cal.covered_count;
     ml.curve = cal.curve;
-    // Copy, hash, then maybe compress. The session holds sorted entry
-    // arrays; the copy's probe arrays are built in the canonical layout, so
-    // the frozen bytes — and the order conservative-update sketching reads
-    // the counts in — are a pure function of the counts.
-    ml.stats = shard_.stats.ForLanguage(ml.lang_id);
-    ml.stats.EnsureHashed();
-    if (ShouldSketch(ml.stats, sketch_ratio)) {
+    // The freeze point: Freeze writes the canonical probe tables straight
+    // from the session's sorted entry arrays, so the frozen bytes — and the
+    // order conservative-update sketching reads the counts in — are a pure
+    // function of the counts.
+    const LanguageStats& stats = shard_.stats.ForLanguage(ml.lang_id);
+    if (ShouldSketch(stats, sketch_ratio)) {
       const uint64_t seed = 0xadde7ec7 + static_cast<uint64_t>(ml.lang_id);
-      AD_RETURN_NOT_OK(ml.stats.CompressToSketch(sketch_ratio, seed));
+      AD_ASSIGN_OR_RETURN(ml.stats, Freeze(stats, SketchSpec{sketch_ratio, seed}));
+    } else {
+      ml.stats = Freeze(stats);
     }
     model.languages.push_back(std::move(ml));
   }

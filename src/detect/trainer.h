@@ -30,14 +30,15 @@
 /// `TrainModel` remains as the thin one-shot adapter over the same stages.
 /// Determinism contract: a model finalized from N merged shards is
 /// byte-identical to the one-shot model, for any shard order. The session
-/// keeps exact counts as sorted entry arrays (hash-deferred FlatMap64s) from
-/// build to freeze; calibration reads them by merge-join, selection by entry
-/// counts, and Finalize hashes (LanguageStats::EnsureHashed) only each
-/// selected language's copy, whose probe arrays come out in the canonical
-/// layout before it sketches or freezes. Every stage is therefore a pure
-/// function of the counts and the column stream. Re-selection under new budgets or sketch
-/// ratios re-runs only Finalize on the same session, so ablation benches
-/// never re-scan the corpus (paper Figs. 7 and 8a).
+/// keeps exact counts as sorted LanguageStats from build to freeze;
+/// calibration reads them by merge-join, selection by entry counts, and
+/// Finalize freezes (Freeze, stats/frozen_stats.h) only each selected
+/// language into the FrozenStats a model serves, writing the canonical
+/// probe tables — or the sketch — straight from the sorted entries. Every
+/// stage is therefore a pure function of the counts and the column stream.
+/// Re-selection under new budgets or sketch ratios re-runs only Finalize on
+/// the same session, so ablation benches never re-scan the corpus (paper
+/// Figs. 7 and 8a).
 
 namespace autodetect {
 
@@ -90,26 +91,26 @@ class TrainSession {
   Status UseStats(StatsShard shard);
 
   /// \brief The delta path: folds new shards into the adopted statistics
-  /// (a sorted merge per language, LanguageStats::MergeCanonical, in
-  /// parallel). The session plus the new shards must pass CheckMergeable —
-  /// the combined ranges must tile one contiguous range — and a refused set
-  /// changes nothing. Supervision must be re-run afterwards; the statistics
+  /// (a sorted merge per language, LanguageStats::Merge, in parallel). The
+  /// session plus the new shards must pass CheckMergeable — the combined
+  /// ranges must tile one contiguous range — and a refused set changes
+  /// nothing. Supervision must be re-run afterwards; the statistics
   /// pass over the OLD columns is what this saves.
   Status AddShards(std::vector<StatsShard> shards);
 
   /// \brief Distant supervision + per-language calibration against the
   /// adopted statistics. `source` must stream the FULL corpus the
-  /// statistics cover (it is Reset first). Distant supervision probes a
-  /// hashed copy of the crude-G language; calibration pre-keys the training
-  /// set once under every candidate (PreKeyedTrainingSet), reads counts by
+  /// statistics cover (it is Reset first). Distant supervision probes the
+  /// crude-G language frozen; calibration pre-keys the training set once
+  /// under every candidate (PreKeyedTrainingSet), reads counts by
   /// merge-join and calibrates candidates in parallel.
   Status Supervise(ColumnSource* source);
 
   /// \brief Selects languages under `memory_budget_bytes`/`sketch_ratio`
   /// (overriding the option defaults) and assembles a Model. Candidates are
-  /// priced at their exact frozen bytes; each chosen language is copied and
-  /// hashed into the canonical layout (the freeze point), then sketching
-  /// compresses the chosen ensemble.
+  /// priced at their exact frozen bytes; each chosen language is frozen
+  /// (Freeze, the freeze point), exactly or — when the ratio shrinks it — as
+  /// a sketch.
   Result<Model> Finalize(size_t memory_budget_bytes, double sketch_ratio) const;
   Result<Model> Finalize() const;
 

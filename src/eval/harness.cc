@@ -66,7 +66,7 @@ Result<Model> TrainOrLoadModel(const HarnessConfig& config) {
   return model;
 }
 
-Result<LanguageStats> BuildOrLoadCrudeStats(const HarnessConfig& config) {
+Result<FrozenStats> BuildOrLoadCrudeStats(const HarnessConfig& config) {
   std::error_code ec;
   fs::create_directories(config.cache_dir, ec);
   const std::string path = CrudeCachePath(config);
@@ -75,7 +75,7 @@ Result<LanguageStats> BuildOrLoadCrudeStats(const HarnessConfig& config) {
     if (in) {
       BinaryReader reader(&in);
       auto loaded = LanguageStats::Deserialize(&reader);
-      if (loaded.ok()) return loaded;
+      if (loaded.ok()) return Freeze(*loaded);
     }
     AD_LOG(Warning) << "cache " << path << " unreadable, rebuilding";
   }
@@ -83,14 +83,13 @@ Result<LanguageStats> BuildOrLoadCrudeStats(const HarnessConfig& config) {
   StatsBuilderOptions opts;
   opts.language_ids = {LanguageSpace::IdOf(LanguageSpace::CrudeG())};
   CorpusStats stats = BuildCorpusStats(&source, opts);
-  LanguageStats crude = stats.ForLanguage(opts.language_ids[0]);
+  const LanguageStats& crude = stats.ForLanguage(opts.language_ids[0]);
   std::ofstream out(path, std::ios::binary);
   if (out) {
     BinaryWriter writer(&out);
     crude.Serialize(&writer);
   }
-  crude.EnsureHashed();  // test-case generation probes it pair by pair
-  return crude;
+  return Freeze(crude);  // test-case generation probes it pair by pair
 }
 
 std::vector<DetectRequest> RequestsFromCases(const std::vector<TestCase>& cases) {

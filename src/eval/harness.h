@@ -34,8 +34,9 @@ struct HarnessConfig {
 Result<Model> TrainOrLoadModel(const HarnessConfig& config);
 
 /// \brief Crude-G statistics over the same training corpus (needed by
-/// splice-test generation), cached alongside the model.
-Result<LanguageStats> BuildOrLoadCrudeStats(const HarnessConfig& config);
+/// splice-test generation), cached alongside the model as serialized
+/// training statistics and frozen on return.
+Result<FrozenStats> BuildOrLoadCrudeStats(const HarnessConfig& config);
 
 /// \brief Shapes a test set into a unified-API batch (one request per case,
 /// named "case<i>/<domain>", tagged with the domain); the runtime benches

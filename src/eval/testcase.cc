@@ -12,7 +12,7 @@
 namespace autodetect {
 
 Result<std::vector<TestCase>> GenerateSpliceTestSet(ColumnSource* source,
-                                                    const LanguageStats& crude_stats,
+                                                    const FrozenStats& crude_stats,
                                                     const SpliceTestOptions& options) {
   if (options.num_dirty == 0) return Status::Invalid("num_dirty must be positive");
   const GeneralizationLanguage crude = LanguageSpace::CrudeG();

@@ -6,7 +6,7 @@
 #include "common/result.h"
 #include "corpus/column_source.h"
 #include "corpus/corpus_generator.h"
-#include "stats/language_stats.h"
+#include "stats/frozen_stats.h"
 
 /// \file testcase.h
 /// Test-set construction for the paper's two evaluation protocols:
@@ -48,7 +48,7 @@ struct SpliceTestOptions {
 /// and splicing foreign values. `crude_stats` must be statistics for
 /// LanguageSpace::CrudeG() over a training corpus.
 Result<std::vector<TestCase>> GenerateSpliceTestSet(ColumnSource* source,
-                                                    const LanguageStats& crude_stats,
+                                                    const FrozenStats& crude_stats,
                                                     const SpliceTestOptions& options);
 
 struct RealisticTestOptions {

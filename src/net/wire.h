@@ -142,6 +142,8 @@ struct FrameView {
 ///                     frame.
 Result<std::optional<FrameView>> PeekFrame(std::string_view buffer,
                                            const WireLimits& limits = {});
+/// A temporary buffer would leave the FrameView's payload dangling.
+Result<std::optional<FrameView>> PeekFrame(std::string&&, const WireLimits& = {}) = delete;
 
 // --- Payload decoding (the payload of a validated FrameView) ---
 

@@ -252,17 +252,4 @@ void CountMinSketch::FrozenView::AppendTo(std::string* out) const {
   out->append(reinterpret_cast<const char*>(base_), bytes_);
 }
 
-CountMinSketch CountMinSketch::FrozenView::Thaw() const {
-  CountMinSketch sketch(1, 1);
-  sketch.width_ = width_;
-  sketch.hashes_ = hashes_;
-  sketch.total_ = total_;
-  sketch.rows_.resize(hashes_.size() * width_);
-  for (size_t i = 0; i < hashes_.size(); ++i) {
-    std::memcpy(sketch.rows_.data() + i * width_, planes_ + i * plane_stride_,
-                width_ * sizeof(uint32_t));
-  }
-  return sketch;
-}
-
 }  // namespace autodetect

@@ -149,10 +149,6 @@ class CountMinSketch {
     /// model without thawing).
     void AppendTo(std::string* out) const;
 
-    /// \brief Deep-copies into an owning sketch (re-embedding a mapped
-    /// sketch in a stats blob needs the streamed form).
-    CountMinSketch Thaw() const;
-
    private:
     const uint8_t* base_ = nullptr;
     const uint8_t* planes_ = nullptr;

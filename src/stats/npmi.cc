@@ -5,31 +5,15 @@
 
 namespace autodetect {
 
-double NpmiScorer::Smooth(double c1, double c2, double observed) const {
-  if (f_ <= 0.0) return observed;
-  double n = static_cast<double>(stats_->num_columns());
-  if (n <= 0) return observed;
-  double expected = c1 * c2 / n;
+double NpmiFormula::Smooth(double c1, double c2, double observed) const {
+  if (f_ <= 0.0 || n_ <= 0) return observed;
+  const double expected = c1 * c2 / n_;
   return (1.0 - f_) * observed + f_ * expected;
 }
 
-double NpmiScorer::SmoothedCoCount(uint64_t key1, uint64_t key2) const {
-  return Smooth(static_cast<double>(stats_->Count(key1)),
-                static_cast<double>(stats_->Count(key2)),
-                static_cast<double>(stats_->CoCount(key1, key2)));
-}
-
-double NpmiScorer::Score(uint64_t key1, uint64_t key2, ScoreDetail* detail) const {
-  const bool same = key1 == key2;
-  const uint64_t c1 = stats_->Count(key1);
-  const uint64_t c2 = same ? c1 : stats_->Count(key2);
-  const uint64_t c12 = !same && c1 > 0 && c2 > 0 ? stats_->CoCount(key1, key2, c1, c2) : 0;
-  return ScoreCounts(c1, c2, c12, same, detail);
-}
-
-double NpmiScorer::ScoreCounts(uint64_t count1, uint64_t count2, uint64_t count12,
-                               bool same, ScoreDetail* detail) const {
-  const double n = static_cast<double>(stats_->num_columns());
+double NpmiFormula::Score(uint64_t count1, uint64_t count2, uint64_t count12,
+                          bool same, ScoreDetail* detail) const {
+  const double n = n_;
   if (n <= 0) return -1.0;
   const double c1 = static_cast<double>(count1);
   const double c2 = static_cast<double>(count2);
@@ -67,8 +51,22 @@ double NpmiScorer::ScoreCounts(uint64_t count1, uint64_t count2, uint64_t count1
   return npmi;
 }
 
+double NpmiScorer::SmoothedCoCount(uint64_t key1, uint64_t key2) const {
+  return formula_.Smooth(static_cast<double>(stats_->Count(key1)),
+                         static_cast<double>(stats_->Count(key2)),
+                         static_cast<double>(stats_->CoCount(key1, key2)));
+}
+
+double NpmiScorer::Score(uint64_t key1, uint64_t key2, ScoreDetail* detail) const {
+  const bool same = key1 == key2;
+  const uint64_t c1 = stats_->Count(key1);
+  const uint64_t c2 = same ? c1 : stats_->Count(key2);
+  const uint64_t c12 = !same && c1 > 0 && c2 > 0 ? stats_->CoCount(key1, key2, c1, c2) : 0;
+  return formula_.Score(c1, c2, c12, same, detail);
+}
+
 double NpmiOfValues(std::string_view v1, std::string_view v2,
-                    const GeneralizationLanguage& lang, const LanguageStats& stats,
+                    const GeneralizationLanguage& lang, const FrozenStats& stats,
                     double smoothing_factor) {
   NpmiScorer scorer(&stats, smoothing_factor);
   return scorer.Score(GeneralizeToKey(v1, lang), GeneralizeToKey(v2, lang));

@@ -43,13 +43,8 @@ void CorpusStats::Insert(int lang_id, LanguageStats stats) {
     per_language_.emplace(lang_id, std::move(stats));
     return;
   }
-  // Merge-or-fail: additive counts merge (disjoint column sets); anything
-  // unmergeable would have been silently overwritten before, losing a whole
-  // language's statistics.
-  AD_CHECK(!it->second.frozen() && !it->second.uses_sketch() &&
-           !stats.frozen() && !stats.uses_sketch())
-      << "Insert over existing unmergeable stats for language " << lang_id;
-  it->second.MergeCanonical(stats);
+  // Additive counts over disjoint column sets merge, never overwrite.
+  it->second.Merge(stats);
 }
 
 void CorpusStats::Retain(const std::vector<int>& keep) {
@@ -66,7 +61,7 @@ void CorpusStats::Retain(const std::vector<int>& keep) {
 void CorpusStats::Serialize(BinaryWriter* writer) const {
   // Each language's blob is length-prefixed so Deserialize can slice the
   // byte stream without parsing it, then parse languages in parallel. The
-  // per-language serialization (collect + sort of every dictionary) is
+  // per-language serialization (a copy of every entry array) is
   // likewise independent, so it runs across cores too.
   std::vector<const LanguageStats*> stats;
   std::vector<int> ids;
@@ -117,13 +112,9 @@ Result<CorpusStats> CorpusStats::Deserialize(BinaryReader* reader) {
   // Pass 2 (parallel): parse each blob with an in-memory reader.
   std::vector<LanguageStats> parsed(n);
   std::vector<Status> statuses(n);
-  // Hash materialization is deferred: deserialized statistics are merged,
-  // re-serialized and read by merge-join; the training session hashes only
-  // what it freezes into a model.
   ThreadPool::ParallelFor(n, /*num_threads=*/0, [&](size_t i) {
     BinaryReader blob_reader(blobs[i].data(), blobs[i].size());
-    Result<LanguageStats> stats =
-        LanguageStats::Deserialize(&blob_reader, /*defer_hash=*/true);
+    Result<LanguageStats> stats = LanguageStats::Deserialize(&blob_reader);
     if (!stats.ok()) {
       statuses[i] = stats.status();
       return;

@@ -21,9 +21,10 @@
 /// languages, then per language stages every column's pattern keys and pair
 /// keys, radix-sorts them and run-length-encodes them into one sorted run
 /// (LanguageStatsBuilder). Runs merge as they pile up and once more at the
-/// end. The statistics come out as sorted entry arrays (hash-deferred
-/// FlatMap64s): the ADSHARD1 wire order, the input of merge-join
-/// calibration, and 16 bytes per entry instead of a probe array's 21–43.
+/// end. The statistics come out as sorted entry arrays (SortedCounts): the
+/// ADSHARD1 wire order, the input of merge-join calibration, and 16 bytes
+/// per entry instead of a probe array's 21–43. Only Freeze
+/// (frozen_stats.h) ever lays them out as probe tables.
 
 namespace autodetect {
 
@@ -53,11 +54,8 @@ class CorpusStats {
 
   std::vector<int> LanguageIds() const;
   /// \brief Adds stats for `lang_id`. If the language already exists the two
-  /// are merged additively (disjoint column sets,
-  /// LanguageStats::MergeCanonical);
-  /// inserting over an existing language that cannot be merged (either side
-  /// frozen or sketch-compressed) is a checked programming error — never a
-  /// silent overwrite.
+  /// are merged additively (disjoint column sets, LanguageStats::Merge) —
+  /// never a silent overwrite.
   void Insert(int lang_id, LanguageStats stats);
   /// Drops all languages except `keep` (used after selection to shed the
   /// memory of unselected candidates). Debug builds assert every kept id

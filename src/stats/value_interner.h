@@ -38,6 +38,8 @@ class ValueInterner {
   /// \brief Interns one column. Entry values are views into `values`; they
   /// stay valid only while `values` is alive and unmodified.
   void Intern(const std::vector<std::string>& values);
+  /// A temporary column would leave every entry dangling.
+  void Intern(std::vector<std::string>&&) = delete;
 
   size_t num_values() const { return num_values_; }
   size_t num_distinct() const { return entries_.size(); }

@@ -58,14 +58,14 @@ Result<PrecisionCurve> PrecisionCurve::FromFrozen(const void* data, size_t len) 
 
 namespace {
 
-using Slot = FlatMap64::Slot;
+using Slot = SortedCounts::Entry;
 using ValuePair = std::pair<uint32_t, uint32_t>;
 
 /// NPMI of each pair of `pairs` (indices into `value_keys`). Every count is
 /// read once per query, in batches: the value keys and the pair keys are
 /// radix-sorted with their positions and looked up by merge-join
 /// (LanguageStats::CountsInto / CoCountsInto), then each pair is scored
-/// from its three counts (NpmiScorer::ScoreCounts).
+/// from its three counts (NpmiFormula::Score).
 std::vector<double> ScoreKeyPairs(const LanguageStats& stats, double smoothing_factor,
                                   const std::vector<uint64_t>& value_keys,
                                   const std::vector<ValuePair>& pairs) {
@@ -77,7 +77,7 @@ std::vector<double> ScoreKeyPairs(const LanguageStats& stats, double smoothing_f
   std::vector<uint64_t> counts(value_keys.size());
   stats.CountsInto(queries, counts.data());
 
-  // ScoreCounts never reads c(p1,p2) of a pair of identical keys.
+  // The formula never reads c(p1,p2) of a pair of identical keys.
   queries.clear();
   for (size_t i = 0; i < pairs.size(); ++i) {
     const uint64_t ku = value_keys[pairs[i].first];
@@ -88,13 +88,13 @@ std::vector<double> ScoreKeyPairs(const LanguageStats& stats, double smoothing_f
   std::vector<uint64_t> co_counts(pairs.size());
   stats.CoCountsInto(queries, co_counts.data());
 
-  NpmiScorer scorer(&stats, smoothing_factor);
+  const NpmiFormula formula(stats.num_columns(), smoothing_factor);
   std::vector<double> scores;
   scores.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto [u, v] = pairs[i];
-    scores.push_back(scorer.ScoreCounts(counts[u], counts[v], co_counts[i],
-                                        value_keys[u] == value_keys[v]));
+    scores.push_back(formula.Score(counts[u], counts[v], co_counts[i],
+                                   value_keys[u] == value_keys[v]));
   }
   return scores;
 }

@@ -37,7 +37,7 @@ std::string SymbolSignature(const std::string& v) {
 }  // namespace
 
 Result<TrainingSet> GenerateTrainingSet(ColumnSource* source,
-                                        const LanguageStats& crude_stats,
+                                        const FrozenStats& crude_stats,
                                         const DistantSupervisionOptions& options) {
   if (options.target_positives == 0 && options.target_negatives == 0) {
     return Status::Invalid("no training pairs requested");

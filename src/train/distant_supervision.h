@@ -5,7 +5,7 @@
 
 #include "common/result.h"
 #include "corpus/column_source.h"
-#include "stats/language_stats.h"
+#include "stats/frozen_stats.h"
 #include "text/language.h"
 
 /// \file distant_supervision.h
@@ -73,9 +73,10 @@ struct DistantSupervisionOptions {
 };
 
 /// \brief Builds T from a (re-playable) corpus stream using pre-built crude
-/// statistics for LanguageSpace::CrudeG(). Deterministic given options.
+/// statistics for LanguageSpace::CrudeG(), frozen exactly (Freeze).
+/// Deterministic given options.
 Result<TrainingSet> GenerateTrainingSet(ColumnSource* source,
-                                        const LanguageStats& crude_stats,
+                                        const FrozenStats& crude_stats,
                                         const DistantSupervisionOptions& options);
 
 }  // namespace autodetect

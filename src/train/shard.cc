@@ -294,15 +294,13 @@ Result<StatsShard> MergeShards(std::vector<StatsShard> shards) {
   const std::vector<int> lang_ids = merged.stats.LanguageIds();
   // Languages are independent dictionaries; merge each across all shards on
   // its own core. Counts are additive, so the fold order does not matter.
-  // MergeCanonical is a sorted merge-join that reuses the sorted entry
-  // arrays deserialization left cached and leaves the result hash-deferred:
-  // the file reducer's inputs arrive sorted and its output is re-serialized,
-  // so no probe array is built on this path.
+  // Merge is a two-pointer merge of the sorted entry arrays deserialization
+  // read, and its result is the same sorted form the reducer re-serializes.
   ThreadPool::ParallelFor(lang_ids.size(), /*num_threads=*/0, [&](size_t li) {
     const int id = lang_ids[li];
     LanguageStats& dst = merged.stats.MutableForLanguage(id);
     for (size_t i = 1; i < shards.size(); ++i) {
-      dst.MergeCanonical(shards[i].stats.ForLanguage(id));
+      dst.Merge(shards[i].stats.ForLanguage(id));
     }
   });
   merged.provenance = std::move(provenance);

@@ -28,10 +28,10 @@
 /// order of the same input shards, and those counts equal a one-shot
 /// `BuildCorpusStats` pass over the whole corpus: merging is
 /// content-additive. The serialized form is the sorted entry arrays the
-/// statistics are held in, so equal counts write equal bytes; the model's
-/// frozen bytes get the same guarantee from the training session, which
-/// builds each selected language's probe arrays in the canonical layout
-/// (LanguageStats::EnsureHashed) at the freeze point.
+/// statistics are held in (SortedCounts), so equal counts write equal
+/// bytes; the model's frozen bytes get the same guarantee from Freeze
+/// (stats/frozen_stats.h), which writes each selected language's probe
+/// tables in the canonical layout straight from those arrays.
 
 namespace autodetect {
 

@@ -65,13 +65,15 @@ Model MakeModel() {
     ml.threshold = -0.2;
     ml.train_coverage = 100;
     ml.curve = PrecisionCurve({{-1.0, 0.95}, {-0.2, 0.7}, {0.5, 0.3}, {1.0, 0.1}});
+    LanguageStats counts;
     for (const auto& column : corpus) {
       std::vector<uint64_t> keys;
       for (const auto& v : column) keys.push_back(GeneralizeToKey(v, lang));
       std::sort(keys.begin(), keys.end());
       keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-      ml.stats.AddColumn(keys);
+      counts.AddColumn(keys);
     }
+    ml.stats = Freeze(counts);
     model.languages.push_back(std::move(ml));
   }
   return model;

@@ -19,6 +19,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "stats/sorted_counts.h"
 
 namespace autodetect {
 namespace {
@@ -383,7 +384,7 @@ TEST(BitsetTest, EqualityAndSelfUnion) {
 TEST(FlatMapTest, InsertFindAndGrowth) {
   FlatMap64 m;
   EXPECT_TRUE(m.empty());
-  EXPECT_FALSE(m.Contains(7));
+  EXPECT_EQ(m.Find(7), nullptr);
   for (uint64_t k = 1; k <= 1000; ++k) m[k * 0x9E3779B97F4A7C15ULL] = k;
   EXPECT_EQ(m.size(), 1000u);
   for (uint64_t k = 1; k <= 1000; ++k) {
@@ -407,45 +408,61 @@ TEST(FlatMapTest, OperatorBracketIncrementsInPlace) {
 
 TEST(FlatMapTest, ZeroKeyIsAValidKey) {
   FlatMap64 m;
-  EXPECT_FALSE(m.Contains(0));
+  EXPECT_EQ(m.Find(0), nullptr);
   m[0] = 17;
-  EXPECT_TRUE(m.Contains(0));
+  ASSERT_NE(m.Find(0), nullptr);
   EXPECT_EQ(m.GetOr(0), 17u);
   EXPECT_EQ(m.size(), 1u);
-  size_t visited = 0;
-  m.ForEach([&](uint64_t k, uint64_t v) {
-    EXPECT_EQ(k, 0u);
-    EXPECT_EQ(v, 17u);
-    ++visited;
-  });
-  EXPECT_EQ(visited, 1u);
+  EXPECT_EQ(m.capacity(), 0u);  // key 0 lives in the side slot, not the array
 }
 
-TEST(FlatMapTest, ReserveAvoidsRehashAndClearReleases) {
+TEST(FlatMapTest, ReserveAvoidsRehashAndResetKeepsCapacity) {
   FlatMap64 m;
   m.Reserve(1000);
   size_t cap = m.capacity();
   EXPECT_GE(cap * 3, 1000u * 4);
   for (uint64_t k = 1; k <= 1000; ++k) m[k];
   EXPECT_EQ(m.capacity(), cap);  // no growth after Reserve
-  EXPECT_GT(m.MemoryBytes(), 0u);
-  m.Clear();
+  m[0] = 3;
+  m.Reset();
   EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.MemoryBytes(), 0u);
-  EXPECT_FALSE(m.Contains(1));
+  EXPECT_EQ(m.capacity(), cap);  // kept for the next column
+  EXPECT_EQ(m.Find(1), nullptr);
+  EXPECT_EQ(m.Find(0), nullptr);
+  m[1] = 4;
+  EXPECT_EQ(m.GetOr(1), 4u);
+}
+
+/// The frozen probe table of `entries` (ascending keys) in `storage`.
+FlatMap64::FrozenView FreezeTable(const std::vector<FlatMap64::Slot>& entries,
+                                  std::vector<uint64_t>* storage) {
+  storage->clear();
+  FlatMap64::FrozenView::AppendCanonical(entries, storage);
+  auto view = FlatMap64::FrozenView::FromBytes(storage->data(), storage->size() * 8);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->bytes(), storage->size() * 8);
+  return *view;
+}
+
+FlatMap64::FrozenView FreezeTable(const std::map<uint64_t, uint64_t>& reference,
+                                  std::vector<uint64_t>* storage) {
+  std::vector<FlatMap64::Slot> entries;
+  for (const auto& [k, v] : reference) entries.push_back(FlatMap64::Slot{k, v});
+  return FreezeTable(entries, storage);
 }
 
 TEST(FlatMapTest, ForEachVisitsEveryEntryOnce) {
-  FlatMap64 m;
   std::map<uint64_t, uint64_t> reference;
   Pcg32 rng(3);
   for (int i = 0; i < 500; ++i) {
     uint64_t k = rng.NextU64() >> (i % 32);  // mix of sparse and clustered keys
-    ++m[k];
     ++reference[k];
   }
+  reference[0] = 9;  // the header's side slot is visited too
+  std::vector<uint64_t> storage;
+  const FlatMap64::FrozenView view = FreezeTable(reference, &storage);
   std::map<uint64_t, uint64_t> seen;
-  m.ForEach([&](uint64_t k, uint64_t v) {
+  view.ForEach([&](uint64_t k, uint64_t v) {
     EXPECT_TRUE(seen.emplace(k, v).second) << "key visited twice";
   });
   EXPECT_EQ(seen, reference);
@@ -517,56 +534,74 @@ TEST(FlatMapTest, ExtremeKeysZeroAndMax) {
   EXPECT_EQ(m.size(), 502u);
 }
 
-TEST(FlatMapTest, MergeSortedIntoNonEmptyWithOverlap) {
-  FlatMap64 a, b;
-  a[0] = 1;
-  a[10] = 100;
-  a[20] = 200;
-  b[0] = 2;      // overlaps the zero-key side slot
-  b[20] = 50;    // overlaps a regular key
-  b[30] = 300;   // disjoint
-  a = FlatMap64::MergeSorted(a, b);
-  EXPECT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.GetOr(0), 3u);
-  EXPECT_EQ(a.GetOr(10), 100u);
-  EXPECT_EQ(a.GetOr(20), 250u);
-  EXPECT_EQ(a.GetOr(30), 300u);
-  // `b` is untouched.
-  EXPECT_EQ(b.size(), 3u);
-  EXPECT_EQ(b.GetOr(20), 50u);
-
-  // Merging an empty map is a no-op; merging into an empty map copies.
-  FlatMap64 empty;
-  a = FlatMap64::MergeSorted(a, empty);
-  EXPECT_EQ(a.size(), 4u);
-  empty = FlatMap64::MergeSorted(empty, a);
-  EXPECT_EQ(empty.size(), 4u);
-  EXPECT_EQ(empty.GetOr(0), 3u);
+/// `counts` as training holds them: ascending (key, count) entries.
+SortedCounts SortedOf(const std::map<uint64_t, uint64_t>& counts) {
+  std::vector<SortedCounts::Entry> entries;
+  for (const auto& [k, v] : counts) entries.push_back(SortedCounts::Entry{k, v});
+  Result<SortedCounts> sorted = SortedCounts::FromSorted(std::move(entries));
+  EXPECT_TRUE(sorted.ok());
+  return std::move(*sorted);
 }
 
-TEST(FlatMapTest, MergeSortedFuzzAgainstUnorderedMap) {
+TEST(SortedCountsTest, MergeIntoNonEmptyWithOverlap) {
+  const SortedCounts b = SortedOf({{0, 2},      // overlaps the zero-key side slot
+                                   {20, 50},    // overlaps a regular key
+                                   {30, 300}});  // disjoint
+  SortedCounts a = SortedOf({{0, 1}, {10, 100}, {20, 200}});
+  a = SortedCounts::Merge(a, b);
+  EXPECT_EQ(a.size(), 4u);
+  EXPECT_EQ(a.Get(0), 3u);
+  EXPECT_EQ(a.Get(10), 100u);
+  EXPECT_EQ(a.Get(20), 250u);
+  EXPECT_EQ(a.Get(30), 300u);
+  // `b` is untouched.
+  EXPECT_EQ(b.size(), 3u);
+  EXPECT_EQ(b.Get(20), 50u);
+  // The merged entries freeze to a probe table that answers the same.
+  std::vector<uint64_t> storage;
+  const FlatMap64::FrozenView view = FreezeTable(a.entries(), &storage);
+  EXPECT_EQ(view.size(), 4u);
+  EXPECT_EQ(view.GetOr(0), 3u);
+  EXPECT_EQ(view.GetOr(20), 250u);
+
+  // Merging an empty map is a no-op; merging into an empty map copies.
+  SortedCounts empty;
+  a = SortedCounts::Merge(a, empty);
+  EXPECT_EQ(a.size(), 4u);
+  empty = SortedCounts::Merge(empty, a);
+  EXPECT_EQ(empty.size(), 4u);
+  EXPECT_EQ(empty.Get(0), 3u);
+}
+
+TEST(SortedCountsTest, MergeFuzzAgainstUnorderedMap) {
   Pcg32 rng(777);
   std::unordered_map<uint64_t, uint64_t> reference;
-  FlatMap64 merged;
+  SortedCounts merged;
   for (int shard = 0; shard < 8; ++shard) {
-    FlatMap64 part;
+    std::map<uint64_t, uint64_t> part;
     for (int i = 0; i < 500; ++i) {
       uint64_t k = rng.Below(256);  // heavy cross-shard overlap, includes 0
       uint64_t delta = 1 + rng.Below(10);
       part[k] += delta;
       reference[k] += delta;
     }
-    merged = FlatMap64::MergeSorted(merged, part);
+    merged = SortedCounts::Merge(merged, SortedOf(part));
   }
   EXPECT_EQ(merged.size(), reference.size());
-  for (const auto& [k, v] : reference) EXPECT_EQ(merged.GetOr(k), v);
+  for (const auto& [k, v] : reference) EXPECT_EQ(merged.Get(k), v);
+  std::vector<uint64_t> storage;
+  const FlatMap64::FrozenView view = FreezeTable(merged.entries(), &storage);
+  EXPECT_EQ(view.size(), reference.size());
+  for (const auto& [k, v] : reference) EXPECT_EQ(view.GetOr(k), v);
 }
 
 TEST(FlatMapTest, MemoryBytesMonotoneUnderInserts) {
-  FlatMap64 m;
+  // Training prices a dictionary by SortedCounts::MemoryBytes, the bytes of
+  // the probe table it will freeze to.
+  SortedCounts m;
   size_t last = m.MemoryBytes();
   for (uint64_t k = 1; k <= 5000; ++k) {
-    m[Mix64(k)] = k;
+    m = SortedCounts::Merge(m, SortedOf({{Mix64(k), k}}));
     size_t now = m.MemoryBytes();
     ASSERT_GE(now, last) << "MemoryBytes shrank during insert " << k;
     last = now;
@@ -589,38 +624,31 @@ TEST(FlatMapTest, IncrementingAnExistingKeyAtFullLoadDoesNotGrow) {
   }
 }
 
-/// The knapsack prices a map by MemoryBytes() before Finalize hashes
-/// it, so the price must equal the canonical copy's, whatever the history.
-void ExpectPricedLikeCanonicalCopy(const FlatMap64& m, const std::string& how) {
-  Result<FlatMap64> canonical_or = FlatMap64::FromSorted(m.CollectSorted());
-  ASSERT_TRUE(canonical_or.ok()) << how;
-  const FlatMap64& canonical = *canonical_or;
-  EXPECT_EQ(m.MemoryBytes(), canonical.MemoryBytes()) << how;
+/// The knapsack prices a dictionary by MemoryBytes() before Finalize
+/// freezes it, so the price must equal the frozen table's, whatever the
+/// history.
+void ExpectPricedLikeCanonicalCopy(const SortedCounts& m, const std::string& how) {
+  std::vector<uint64_t> storage;
+  const FlatMap64::FrozenView canonical = FreezeTable(m.entries(), &storage);
   EXPECT_EQ(m.MemoryBytes(), canonical.capacity() * sizeof(FlatMap64::Slot)) << how;
+  EXPECT_EQ(m.MemoryBytes(), canonical.bytes() - 32) << how;  // all but the header
 }
 
 TEST(FlatMapTest, MemoryBytesEqualsTheCanonicalCopys) {
   for (uint64_t n : {0, 1, 11, 12, 13, 24, 25, 97, 1000}) {
     const std::string label = std::to_string(n) + " keys";
-    FlatMap64 inserted;
+    std::map<uint64_t, uint64_t> inserted;
     for (uint64_t k = 1; k <= n; ++k) ++inserted[Mix64(k)];
     for (uint64_t k = 1; k <= n; ++k) ++inserted[Mix64(k)];  // existing keys
-    ExpectPricedLikeCanonicalCopy(inserted, "insertion, " + label);
+    ExpectPricedLikeCanonicalCopy(SortedOf(inserted), "insertion, " + label);
 
-    FlatMap64 left, right;
+    std::map<uint64_t, uint64_t> left, right;
     for (uint64_t k = 1; k <= n; ++k) ++(k % 3 == 0 ? left : right)[Mix64(k)];
     for (uint64_t k = 1; k <= n; k += 2) ++left[Mix64(k)];  // overlapping keys
-    const FlatMap64 merged = FlatMap64::MergeSorted(left, right);
-    ExpectPricedLikeCanonicalCopy(merged, "MergeSorted, " + label);
-
-    FlatMap64 reserved;
-    reserved.Reserve(4 * n + 100);
-    for (uint64_t k = 1; k <= n; ++k) reserved[Mix64(k)] = k;
-    ExpectPricedLikeCanonicalCopy(reserved, "Reserve, " + label);
+    const SortedCounts merged = SortedCounts::Merge(SortedOf(left), SortedOf(right));
+    ExpectPricedLikeCanonicalCopy(merged, "Merge, " + label);
   }
-  FlatMap64 zero_only;
-  zero_only[0] = 7;
-  ExpectPricedLikeCanonicalCopy(zero_only, "zero key only");
+  ExpectPricedLikeCanonicalCopy(SortedOf({{0, 7}}), "zero key only");
 }
 
 // ------------------------------------------------------------- ThreadPool
@@ -683,18 +711,6 @@ TEST(XxHash64Test, SeedAndLengthSensitivity) {
 
 // ------------------------------------------------------------ FrozenView
 
-/// Freezes `map` into 8-byte-aligned storage and returns a validated view.
-FlatMap64::FrozenView Freeze(const FlatMap64& map, std::vector<uint64_t>* storage) {
-  std::string blob;
-  map.AppendFrozen(&blob);
-  EXPECT_EQ(blob.size(), map.FrozenBytes());
-  storage->assign((blob.size() + 7) / 8, 0);
-  std::memcpy(storage->data(), blob.data(), blob.size());
-  auto view = FlatMap64::FrozenView::FromBytes(storage->data(), blob.size());
-  EXPECT_TRUE(view.ok()) << view.status().ToString();
-  return *view;
-}
-
 TEST(FrozenViewTest, MatchesLiveMapOnRandomKeys) {
   Pcg32 rng(31337);
   FlatMap64 map;
@@ -708,11 +724,12 @@ TEST(FrozenViewTest, MatchesLiveMapOnRandomKeys) {
     reference[key] = value;
   }
   std::vector<uint64_t> storage;
-  FlatMap64::FrozenView view = Freeze(map, &storage);
+  FlatMap64::FrozenView view = FreezeTable(reference, &storage);
   EXPECT_EQ(view.size(), reference.size());
-  EXPECT_EQ(view.bytes(), map.FrozenBytes());
+  EXPECT_EQ(view.bytes(),
+            32 + FlatMap64::FrozenView::CanonicalBytes(reference.size() - reference.count(0)));
   for (const auto& [key, value] : reference) {
-    ASSERT_TRUE(view.Contains(key)) << key;
+    ASSERT_NE(view.Find(key), nullptr) << key;
     EXPECT_EQ(view.GetOr(key), value) << key;
   }
   for (int i = 0; i < 2000; ++i) {
@@ -723,10 +740,6 @@ TEST(FrozenViewTest, MatchesLiveMapOnRandomKeys) {
   std::map<uint64_t, uint64_t> visited;
   view.ForEach([&](uint64_t k, uint64_t v) { visited[k] = v; });
   EXPECT_EQ(visited, reference);
-  // Thaw round-trips back to an owning map with identical contents.
-  FlatMap64 thawed = view.Thaw();
-  EXPECT_EQ(thawed.size(), map.size());
-  for (const auto& [key, value] : reference) EXPECT_EQ(thawed.GetOr(key), value);
   // AppendTo re-emits a blob an identical view can be built from.
   std::string reblob;
   view.AppendTo(&reblob);
@@ -734,22 +747,17 @@ TEST(FrozenViewTest, MatchesLiveMapOnRandomKeys) {
 }
 
 TEST(FrozenViewTest, EmptyMapFreezes) {
-  FlatMap64 empty;
   std::vector<uint64_t> storage;
-  FlatMap64::FrozenView view = Freeze(empty, &storage);
+  FlatMap64::FrozenView view = FreezeTable(std::map<uint64_t, uint64_t>{}, &storage);
   EXPECT_TRUE(view.empty());
-  EXPECT_FALSE(view.Contains(7));
+  EXPECT_EQ(view.Find(7), nullptr);
   EXPECT_EQ(view.GetOr(0, 9), 9u);
 }
 
 TEST(FrozenViewTest, RejectsBadBlobs) {
-  FlatMap64 map;
-  map[1] = 10;
-  map[0] = 5;
-  std::string blob;
-  map.AppendFrozen(&blob);
-  std::vector<uint64_t> storage((blob.size() + 7) / 8, 0);
-  std::memcpy(storage.data(), blob.data(), blob.size());
+  std::vector<uint64_t> storage;
+  FreezeTable(std::map<uint64_t, uint64_t>{{0, 5}, {1, 10}}, &storage);
+  const std::string blob(reinterpret_cast<const char*>(storage.data()), storage.size() * 8);
 
   // Misaligned base pointer.
   auto misaligned = FlatMap64::FrozenView::FromBytes(

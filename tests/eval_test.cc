@@ -28,20 +28,21 @@ class EvalFixture : public ::testing::Test {
     StatsBuilderOptions opts;
     opts.language_ids = {LanguageSpace::IdOf(LanguageSpace::CrudeG())};
     stats_ = new CorpusStats(BuildCorpusStats(&source, opts));
-    crude_ = &stats_->ForLanguage(opts.language_ids[0]);
+    crude_ = new FrozenStats(Freeze(stats_->ForLanguage(opts.language_ids[0])));
   }
   static void TearDownTestSuite() {
+    delete crude_;
     delete stats_;
     delete corpus_;
   }
   static Corpus* corpus_;
   static CorpusStats* stats_;
-  static const LanguageStats* crude_;
+  static const FrozenStats* crude_;
 };
 
 Corpus* EvalFixture::corpus_ = nullptr;
 CorpusStats* EvalFixture::stats_ = nullptr;
-const LanguageStats* EvalFixture::crude_ = nullptr;
+const FrozenStats* EvalFixture::crude_ = nullptr;
 
 // ------------------------------------------------------------ splice sets
 
@@ -113,7 +114,7 @@ TEST_F(EvalFixture, SpliceDeterministicForSeed) {
 TEST(SpliceTest, FailsOnEmptySource) {
   Corpus corpus;
   CorpusSource source(&corpus);
-  LanguageStats stats;
+  FrozenStats stats = Freeze(LanguageStats());
   SpliceTestOptions opts;
   EXPECT_FALSE(GenerateSpliceTestSet(&source, stats, opts).ok());
 }

@@ -112,7 +112,7 @@ TEST_F(IntegrationFixture, BeatsPWheelOnSpliceBenchmark) {
   opts.num_dirty = 120;
   opts.clean_per_dirty = 5;
   auto cases = GenerateSpliceTestSet(
-      source_, crude_->ForLanguage(LanguageSpace::IdOf(LanguageSpace::CrudeG())),
+      source_, Freeze(crude_->ForLanguage(LanguageSpace::IdOf(LanguageSpace::CrudeG()))),
       opts);
   ASSERT_TRUE(cases.ok()) << cases.status().ToString();
 

@@ -6,6 +6,7 @@
 // input fails the gate, not just a wrong answer.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
@@ -19,12 +20,17 @@
 #include "corpus/corpus_generator.h"
 #include "detect/detector.h"
 #include "detect/trainer.h"
+#include "text/pattern.h"
 
 namespace autodetect {
 namespace {
 
+/// ctest runs each case as its own process, in parallel, and copies of this
+/// binary may run at once: the pid keeps their files apart.
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(getpid()) + "_" + name))
+      .string();
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {
@@ -379,6 +385,75 @@ TEST_F(ModelV2Fixture, SketchedSaveLoadSaveIsBitIdentical) {
   EXPECT_EQ(*a, *b);
   std::filesystem::remove(first);
   std::filesystem::remove(second);
+}
+
+/// c(p1, p2) of every value pair of the eval columns under each language.
+std::vector<uint64_t> AllCoCounts(const Model& model) {
+  std::vector<uint64_t> out;
+  for (const ModelLanguage& l : model.languages) {
+    for (const auto& values : EvalColumns()) {
+      for (size_t i = 0; i + 1 < values.size(); ++i) {
+        out.push_back(l.stats.CoCount(GeneralizeToKey(values[i], l.language()),
+                                      GeneralizeToKey(values[i + 1], l.language())));
+      }
+    }
+  }
+  return out;
+}
+
+TEST_F(ModelV2Fixture, SaveOverAMappedModelLeavesItsReaderUnchanged) {
+  // Model B: another seed, a smaller corpus and fewer candidates, so its
+  // file is shorter than A's and truncating A in place would cut pages out
+  // from under A's mapping.
+  GeneratorOptions gen;
+  gen.num_columns = 300;
+  gen.inject_errors = false;
+  gen.seed = 4242;
+  GeneratedColumnSource source(gen);
+  TrainOptions train;
+  train.memory_budget_bytes = 16ull << 20;
+  train.stats.language_ids = {LanguageSpace::IdOf(LanguageSpace::CrudeG()),
+                              LanguageSpace::IdOf(LanguageSpace::PaperL1())};
+  train.supervision.target_positives = 500;
+  train.supervision.target_negatives = 500;
+  train.corpus_name = "model-v2-test-b";
+  auto b = TrainModel(&source, train);
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+
+  const std::string path = TempPath("ad_v2test_overwrite.bin");
+  ASSERT_TRUE(model_->Save(path).ok());
+  auto a = Model::Load(path);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  const std::vector<uint64_t> a_counts = AllCoCounts(*a);
+  const std::vector<std::string> a_reports = AllFingerprints(*a);
+  const auto a_size = std::filesystem::file_size(path);
+
+  ASSERT_TRUE(b->Save(path).ok());
+  ASSERT_LT(std::filesystem::file_size(path), a_size);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp." + std::to_string(getpid())));
+  // A still reads the bytes it mapped.
+  EXPECT_EQ(AllCoCounts(*a), a_counts);
+  EXPECT_EQ(AllFingerprints(*a), a_reports);
+  // A fresh load sees B.
+  auto reloaded = Model::Load(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->corpus_name, "model-v2-test-b");
+  EXPECT_EQ(AllCoCounts(*reloaded), AllCoCounts(*b));
+  EXPECT_EQ(AllFingerprints(*reloaded), AllFingerprints(*b));
+  std::filesystem::remove(path);
+}
+
+TEST_F(ModelV2Fixture, FailedSaveLeavesNoTempFileAndTheTargetUntouched) {
+  // The target is a directory, which the temp file cannot be renamed over.
+  const std::string dir = TempPath("ad_v2test_dir_target");
+  std::filesystem::create_directory(dir);
+  const Status saved = model_->Save(dir);
+  EXPECT_TRUE(saved.IsIOError()) << saved.ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp." + std::to_string(getpid())));
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove(dir);
+  // A missing directory fails to open the temp file in the first place.
+  EXPECT_TRUE(model_->Save(dir + "/missing/m.bin").IsIOError());
 }
 
 TEST_F(ModelV2Fixture, SketchedTruncationIsAlwaysATypedError) {

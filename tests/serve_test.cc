@@ -8,6 +8,7 @@
 // DetectionEngine/ShardedPairCache fail that gate rather than flaking.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -534,8 +535,12 @@ const Model& VariantModel() {
   return *model;
 }
 
+/// ctest runs each case as its own process, in parallel, and copies of this
+/// binary may run at once: the pid keeps their mapped model files apart.
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(getpid()) + "_" + name))
+      .string();
 }
 
 TEST_F(ServeFixture, RegistryFailedReloadKeepsServingOldModel) {

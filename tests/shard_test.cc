@@ -434,8 +434,8 @@ TEST(ShardSessionTest, DeltaRetrainByteIdenticalAcrossCorporaAndSplits) {
     ASSERT_TRUE(from_files.UseStats(std::move(*reduced)).ok());
     EXPECT_EQ(FinalizedModelBytes(&from_files, gen), expected) << "file reducer";
 
-    // Alternate which side of the fold comes from a file (hash-deferred,
-    // sorted entries only) and which straight from BuildShard.
+    // Alternate which side of the fold comes from a file (sorted entries
+    // read back) and which straight from BuildShard.
     const size_t from_file = trial % 2;
     auto loaded = ReadShard(paths[from_file]);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -448,12 +448,15 @@ TEST(ShardSessionTest, DeltaRetrainByteIdenticalAcrossCorporaAndSplits) {
     EXPECT_EQ(FinalizedModelBytes(&delta, gen), expected) << "in-place fold";
 
     for (int id : delta.stats().LanguageIds()) {
-      LanguageStats canonical = delta.stats().ForLanguage(id);
-      canonical.Canonicalize();
+      const FrozenStats canonical = Freeze(delta.stats().ForLanguage(id));
       EXPECT_EQ(delta.stats().ForLanguage(id).MemoryBytes(), canonical.MemoryBytes())
           << "language " << id;
       EXPECT_EQ(one_shot.stats().ForLanguage(id).MemoryBytes(), canonical.MemoryBytes())
           << "language " << id;
+      std::string folded_bytes, one_shot_bytes;
+      canonical.AppendFrozen(&folded_bytes);
+      Freeze(one_shot.stats().ForLanguage(id)).AppendFrozen(&one_shot_bytes);
+      EXPECT_EQ(folded_bytes, one_shot_bytes) << "language " << id;
     }
     for (const std::string& path : paths) fs::remove(path);
   }

@@ -375,22 +375,6 @@ TEST(CountMinFrozenTest, AppendToReemitsIdenticalBytes) {
   EXPECT_EQ(reemitted, blob);
 }
 
-TEST(CountMinFrozenTest, ThawRestoresEstimates) {
-  std::map<uint64_t, uint64_t> truth;
-  CountMinSketch sketch = PopulatedSketch(&truth);
-  std::string blob;
-  sketch.AppendFrozen(&blob);
-  auto view = CountMinSketch::FrozenView::FromBytes(blob.data(), blob.size());
-  ASSERT_TRUE(view.ok());
-  CountMinSketch thawed = view->Thaw();
-  EXPECT_EQ(thawed.TotalMass(), sketch.TotalMass());
-  for (const auto& [key, _] : truth) {
-    EXPECT_EQ(thawed.Estimate(key), sketch.Estimate(key));
-  }
-  // A thawed sketch is mutable and merge-compatible with the original.
-  EXPECT_TRUE(thawed.Merge(sketch).ok());
-}
-
 TEST(CountMinFrozenTest, TruncationIsIOErrorStructuralDamageIsCorruption) {
   CountMinSketch sketch(64, 4, 5);
   sketch.Add(3, 9);

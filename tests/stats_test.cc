@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "common/random.h"
 #include "corpus/corpus_generator.h"
+#include "stats/frozen_stats.h"
 #include "stats/language_stats.h"
 #include "stats/npmi.h"
 #include "stats/stats_builder.h"
@@ -56,7 +60,7 @@ TEST(LanguageStatsTest, MergeAccumulates) {
   a.AddColumn({1, 2});
   b.AddColumn({2, 3});
   b.AddColumn({1, 2});
-  a.MergeCanonical(b);
+  a.Merge(b);
   EXPECT_EQ(a.num_columns(), 3u);
   EXPECT_EQ(a.Count(2), 3u);
   EXPECT_EQ(a.CoCount(1, 2), 2u);
@@ -86,7 +90,7 @@ TEST(LanguageStatsTest, SketchCompressionPreservesDetectionSignal) {
   // dictionary so counters carry several pairs each — the dense regime the
   // trainer sketches in.
   constexpr uint64_t kClique = 100;
-  LanguageStats stats;
+  LanguageStats training;
   Pcg32 rng(5);
   for (int i = 0; i < 5000; ++i) {
     const uint64_t base = (i % 2) * kClique;
@@ -96,10 +100,12 @@ TEST(LanguageStatsTest, SketchCompressionPreservesDetectionSignal) {
     }
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    stats.AddColumn(keys);
+    training.AddColumn(keys);
   }
-  LanguageStats exact = stats;
-  ASSERT_TRUE(stats.CompressToSketch(0.25).ok());
+  const LanguageStats& exact = training;
+  Result<FrozenStats> sketched = Freeze(training, SketchSpec{0.25});
+  ASSERT_TRUE(sketched.ok());
+  const FrozenStats& stats = *sketched;
   EXPECT_TRUE(stats.uses_sketch());
   EXPECT_LT(stats.MemoryBytes(), exact.MemoryBytes());
 
@@ -142,60 +148,109 @@ TEST(LanguageStatsTest, SketchCompressionPreservesDetectionSignal) {
 }
 
 TEST(LanguageStatsTest, SketchSerializationRoundTrip) {
-  LanguageStats stats;
-  stats.AddColumn({1, 2, 3});
-  ASSERT_TRUE(stats.CompressToSketch(1.0).ok());
+  LanguageStats training;
+  training.AddColumn({1, 2, 3});
+  Result<FrozenStats> stats = Freeze(training, SketchSpec{1.0});
+  ASSERT_TRUE(stats.ok());
+  // A sketched language is written as a stats blob plus a sketch blob (the
+  // model's DATA and SKCH sections) and read back by attaching the sketch.
+  std::string blob, sketch_blob;
+  stats->AppendFrozen(&blob);
+  stats->AppendSketchFrozen(&sketch_blob);
+  auto bytes = std::make_shared<std::vector<uint64_t>>((blob.size() + sketch_blob.size()) / 8);
+  std::memcpy(bytes->data(), blob.data(), blob.size());
+  std::memcpy(bytes->data() + blob.size() / 8, sketch_blob.data(), sketch_blob.size());
+  auto restored = FrozenStats::FromFrozen(bytes->data(), blob.size(), bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored->uses_sketch());
+  auto view = CountMinSketch::FrozenView::FromBytes(bytes->data() + blob.size() / 8,
+                                                    sketch_blob.size());
+  ASSERT_TRUE(view.ok());
+  restored->AttachSketch(std::move(*view));
+  EXPECT_EQ(restored->CoCount(1, 2), stats->CoCount(1, 2));
+
+  // Training statistics are always exact: a shard's has_sketch byte set is
+  // Corruption, since no writer produces it.
   std::stringstream ss;
   BinaryWriter w(&ss);
-  stats.Serialize(&w);
-  BinaryReader r(&ss);
-  auto restored = LanguageStats::Deserialize(&r);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(restored->uses_sketch());
-  EXPECT_EQ(restored->CoCount(1, 2), stats.CoCount(1, 2));
+  training.Serialize(&w);
+  std::string wire = ss.str();
+  const size_t has_sketch_at = 8 + 8 + training.NumPatterns() * 16;
+  ASSERT_EQ(wire[has_sketch_at], 0);
+  wire[has_sketch_at] = 1;
+  BinaryReader r(wire.data(), wire.size());
+  EXPECT_TRUE(LanguageStats::Deserialize(&r).status().IsCorruption());
 }
 
 TEST(LanguageStatsTest, DoubleCompressionRejected) {
+  // Only training statistics can be frozen or sketched; what Freeze returns
+  // is a different type, so compressing twice does not compile.
+  static_assert(!std::is_convertible_v<const FrozenStats&, const LanguageStats&>);
   LanguageStats stats;
   stats.AddColumn({1, 2});
-  ASSERT_TRUE(stats.CompressToSketch(0.5).ok());
-  EXPECT_FALSE(stats.CompressToSketch(0.5).ok());
-  EXPECT_FALSE(LanguageStats().CompressToSketch(1.5).ok());
+  ASSERT_TRUE(Freeze(stats, SketchSpec{0.5}).ok());
+  EXPECT_FALSE(Freeze(stats, SketchSpec{1.5}).ok());
+  EXPECT_FALSE(Freeze(LanguageStats(), SketchSpec{1.5}).ok());
+  EXPECT_FALSE(Freeze(stats, SketchSpec{0.0}).ok());
 }
 
 TEST(LanguageStatsTest, SketchGatesUnknownPatterns) {
-  LanguageStats stats;
-  stats.AddColumn({1, 2});
-  ASSERT_TRUE(stats.CompressToSketch(1.0).ok());
+  LanguageStats training;
+  training.AddColumn({1, 2});
+  Result<FrozenStats> stats = Freeze(training, SketchSpec{1.0});
+  ASSERT_TRUE(stats.ok());
   // Pattern 99 was never seen: sketch noise must not invent co-occurrence.
-  EXPECT_EQ(stats.CoCount(1, 99), 0u);
+  EXPECT_EQ(stats->CoCount(1, 99), 0u);
+}
+
+TEST(FrozenStatsTest, EmbeddedSketchBlobIsInvalidAndSaysRetrain) {
+  LanguageStats training;
+  training.AddColumn({1, 2, 3});
+  std::string blob;
+  Freeze(training).AppendFrozen(&blob);
+  auto words = std::make_shared<std::vector<uint64_t>>(blob.size() / 8);
+  std::memcpy(words->data(), blob.data(), blob.size());
+  auto exact = FrozenStats::FromFrozen(words->data(), blob.size(), words);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_EQ(exact->CoCount(1, 3), 1u);
+
+  (*words)[1] = 1;  // flags: a sketch embedded in the blob, which no writer emits
+  auto embedded = FrozenStats::FromFrozen(words->data(), blob.size(), words);
+  ASSERT_TRUE(embedded.status().IsInvalid()) << embedded.status().ToString();
+  EXPECT_NE(embedded.status().ToString().find("retrain"), std::string::npos);
+  (*words)[1] = 2;  // never a valid flag value
+  EXPECT_TRUE(FrozenStats::FromFrozen(words->data(), blob.size(), words)
+                  .status()
+                  .IsCorruption());
 }
 
 // ------------------------------------------------------------------- NPMI
 
 /// Builds stats where key 1 and 2 co-occur in every column, and 1 / 3
 /// appear often but never together.
-LanguageStats MakeCorrelationStats() {
+LanguageStats MakeCorrelationCounts() {
   LanguageStats stats;
   for (int i = 0; i < 50; ++i) stats.AddColumn({1, 2});
   for (int i = 0; i < 50; ++i) stats.AddColumn({3});
   return stats;
 }
 
+FrozenStats MakeCorrelationStats() { return Freeze(MakeCorrelationCounts()); }
+
 TEST(NpmiTest, PositivelyCorrelatedPairScoresHigh) {
-  LanguageStats stats = MakeCorrelationStats();
+  FrozenStats stats = MakeCorrelationStats();
   NpmiScorer scorer(&stats, 0.0);
   EXPECT_GT(scorer.Score(1, 2), 0.5);
 }
 
 TEST(NpmiTest, NeverCoOccurringCommonPatternsScoreMinusOneUnsmoothed) {
-  LanguageStats stats = MakeCorrelationStats();
+  FrozenStats stats = MakeCorrelationStats();
   NpmiScorer scorer(&stats, 0.0);
   EXPECT_DOUBLE_EQ(scorer.Score(1, 3), -1.0);
 }
 
 TEST(NpmiTest, SmoothingLiftsNeverCoOccurringAboveMinusOne) {
-  LanguageStats stats = MakeCorrelationStats();
+  FrozenStats stats = MakeCorrelationStats();
   NpmiScorer smoothed(&stats, 0.1);
   double s = smoothed.Score(1, 3);
   EXPECT_GT(s, -1.0);
@@ -203,22 +258,24 @@ TEST(NpmiTest, SmoothingLiftsNeverCoOccurringAboveMinusOne) {
 }
 
 TEST(NpmiTest, IdenticalExistingPatternIsPerfectlyCompatible) {
-  LanguageStats stats;
-  stats.AddColumn({5});
+  LanguageStats counts;
+  counts.AddColumn({5});
+  FrozenStats stats = Freeze(counts);
   NpmiScorer scorer(&stats, 0.1);
   EXPECT_DOUBLE_EQ(scorer.Score(5, 5), 1.0);
 }
 
 TEST(NpmiTest, UnseenPatternAgainstCommonIsMinusOne) {
-  LanguageStats stats = MakeCorrelationStats();
+  FrozenStats stats = MakeCorrelationStats();
   NpmiScorer scorer(&stats, 0.1);
   EXPECT_DOUBLE_EQ(scorer.Score(1, 777), -1.0);
 }
 
 TEST(NpmiTest, BothRarePatternsAreUnknown) {
-  LanguageStats stats = MakeCorrelationStats();
-  stats.AddColumn({100});
-  stats.AddColumn({200});
+  LanguageStats counts = MakeCorrelationCounts();
+  counts.AddColumn({100});
+  counts.AddColumn({200});
+  FrozenStats stats = Freeze(counts);
   NpmiScorer scorer(&stats, 0.1, /*min_pattern_support=*/3);
   EXPECT_DOUBLE_EQ(scorer.Score(100, 200), 0.0);
   EXPECT_DOUBLE_EQ(scorer.Score(100, 999), 0.0);
@@ -227,17 +284,18 @@ TEST(NpmiTest, BothRarePatternsAreUnknown) {
 TEST(NpmiTest, DeficitGateClampsMildAnticorrelation) {
   // Keys 1 and 2 co-occur in 20 of 100 columns; expectation is
   // 50*40/100 = 20 -> ratio 1.0, no deficit -> score clamped to >= 0.
-  LanguageStats stats;
-  for (int i = 0; i < 20; ++i) stats.AddColumn({1, 2});
-  for (int i = 0; i < 30; ++i) stats.AddColumn({1});
-  for (int i = 0; i < 20; ++i) stats.AddColumn({2});
-  for (int i = 0; i < 30; ++i) stats.AddColumn({9});
+  LanguageStats counts;
+  for (int i = 0; i < 20; ++i) counts.AddColumn({1, 2});
+  for (int i = 0; i < 30; ++i) counts.AddColumn({1});
+  for (int i = 0; i < 20; ++i) counts.AddColumn({2});
+  for (int i = 0; i < 30; ++i) counts.AddColumn({9});
+  FrozenStats stats = Freeze(counts);
   NpmiScorer scorer(&stats, 0.1);
   EXPECT_GE(scorer.Score(1, 2), 0.0);
 }
 
 TEST(NpmiTest, SmoothedCoCountMatchesEquation10) {
-  LanguageStats stats = MakeCorrelationStats();
+  FrozenStats stats = MakeCorrelationStats();
   // c(1)=50, c(3)=50, c13=0, N=100 -> E = 25. f=0.2 -> smoothed = 5.
   NpmiScorer scorer(&stats, 0.2);
   EXPECT_NEAR(scorer.SmoothedCoCount(1, 3), 0.2 * 25.0, 1e-9);
@@ -246,13 +304,13 @@ TEST(NpmiTest, SmoothedCoCountMatchesEquation10) {
 }
 
 TEST(NpmiTest, EmptyStatsScoreMinusOne) {
-  LanguageStats stats;
+  FrozenStats stats = Freeze(LanguageStats());
   NpmiScorer scorer(&stats, 0.1);
   EXPECT_DOUBLE_EQ(scorer.Score(1, 2), -1.0);
 }
 
 TEST(NpmiTest, ScoreIsSymmetric) {
-  LanguageStats stats = MakeCorrelationStats();
+  FrozenStats stats = MakeCorrelationStats();
   NpmiScorer scorer(&stats, 0.1);
   EXPECT_DOUBLE_EQ(scorer.Score(1, 3), scorer.Score(3, 1));
   EXPECT_DOUBLE_EQ(scorer.Score(1, 2), scorer.Score(2, 1));
@@ -261,11 +319,12 @@ TEST(NpmiTest, ScoreIsSymmetric) {
 TEST(NpmiTest, ValueConvenienceUsesLanguage) {
   // Build stats under paper L1 from two columns of dates.
   GeneralizationLanguage l1 = LanguageSpace::PaperL1();
-  LanguageStats stats;
+  LanguageStats counts;
   for (int i = 0; i < 10; ++i) {
-    stats.AddColumn({GeneralizeToKey("2011-01-01", l1)});
-    stats.AddColumn({GeneralizeToKey("2011.01.01", l1)});
+    counts.AddColumn({GeneralizeToKey("2011-01-01", l1)});
+    counts.AddColumn({GeneralizeToKey("2011.01.01", l1)});
   }
+  FrozenStats stats = Freeze(counts);
   double s = NpmiOfValues("2015-03-04", "2016.05.06", l1, stats, 0.0);
   EXPECT_DOUBLE_EQ(s, -1.0);  // formats never share a column
   EXPECT_DOUBLE_EQ(NpmiOfValues("2015-03-04", "1999-12-31", l1, stats, 0.0), 1.0);
@@ -293,7 +352,8 @@ TEST(StatsBuilderTest, DistinctValuesSubsamplesDeterministically) {
 
 TEST(ValueInternerTest, GroupsByIdentityInFirstOccurrenceOrder) {
   ValueInterner interner;
-  interner.Intern({"b", "a", "b", "c", "a", "b"});
+  const std::vector<std::string> column = {"b", "a", "b", "c", "a", "b"};
+  interner.Intern(column);
   EXPECT_EQ(interner.num_values(), 6u);
   ASSERT_EQ(interner.num_distinct(), 3u);
   EXPECT_EQ(interner.entry(0).value, "b");
@@ -347,7 +407,8 @@ TEST(ValueInternerTest, SampleMatchesDistinctValuesForStatsOnRandomColumns) {
 
 TEST(ValueInternerTest, EmptyColumn) {
   ValueInterner interner;
-  interner.Intern({});
+  const std::vector<std::string> empty;
+  interner.Intern(empty);
   EXPECT_EQ(interner.num_values(), 0u);
   EXPECT_EQ(interner.num_distinct(), 0u);
   std::vector<uint32_t> sampled;
@@ -444,7 +505,9 @@ struct OracleCounts {
   }
 };
 
-void ExpectMatchesOracle(const LanguageStats& stats, const OracleCounts& oracle,
+/// Checks training (LanguageStats) or frozen (FrozenStats) counts.
+template <typename Stats>
+void ExpectMatchesOracle(const Stats& stats, const OracleCounts& oracle,
                          const std::string& label) {
   EXPECT_EQ(stats.num_columns(), oracle.columns) << label;
   EXPECT_EQ(stats.NumPatterns(), oracle.counts.size()) << label;
@@ -485,8 +548,7 @@ TEST(LanguageStatsBuilderTest, CountsMatchNaiveMapWithKeyZeroAndRunMerges) {
     builder.AddRun(&stage);
     LanguageStats stats = builder.Build();
     ExpectMatchesOracle(stats, oracle, label + ", sorted");
-    stats.EnsureHashed();
-    ExpectMatchesOracle(stats, oracle, label + ", hashed");
+    ExpectMatchesOracle(Freeze(stats), oracle, label + ", frozen");
   }
 }
 

@@ -31,9 +31,10 @@ class SupervisionFixture : public ::testing::Test {
     StatsBuilderOptions opts;
     opts.language_ids = {LanguageSpace::IdOf(LanguageSpace::CrudeG())};
     stats_ = new CorpusStats(BuildCorpusStats(&source, opts));
-    crude_ = &stats_->ForLanguage(opts.language_ids[0]);
+    crude_ = new FrozenStats(Freeze(stats_->ForLanguage(opts.language_ids[0])));
   }
   static void TearDownTestSuite() {
+    delete crude_;
     delete stats_;
     delete corpus_;
     stats_ = nullptr;
@@ -43,12 +44,12 @@ class SupervisionFixture : public ::testing::Test {
 
   static Corpus* corpus_;
   static CorpusStats* stats_;
-  static const LanguageStats* crude_;
+  static const FrozenStats* crude_;
 };
 
 Corpus* SupervisionFixture::corpus_ = nullptr;
 CorpusStats* SupervisionFixture::stats_ = nullptr;
-const LanguageStats* SupervisionFixture::crude_ = nullptr;
+const FrozenStats* SupervisionFixture::crude_ = nullptr;
 
 TEST_F(SupervisionFixture, GeneratesRequestedCounts) {
   CorpusSource source(corpus_);
@@ -113,7 +114,7 @@ TEST_F(SupervisionFixture, DiversePositivesIncludeFormatVariety) {
 TEST(SupervisionTest, FailsOnDegenerateCorpus) {
   Corpus corpus;  // empty
   CorpusSource source(&corpus);
-  LanguageStats stats;
+  FrozenStats stats = Freeze(LanguageStats());
   DistantSupervisionOptions opts;
   EXPECT_FALSE(GenerateTrainingSet(&source, stats, opts).ok());
 }
@@ -268,9 +269,8 @@ TEST(CalibrationMergeJoinTest, ScoresAndResultsBitIdenticalToHashedScorer) {
       const std::string label = "language " + std::to_string(id) + ", f " + std::to_string(f);
       const GeneralizationLanguage& lang = LanguageSpace::All()[static_cast<size_t>(id)];
       const LanguageStats& sorted = stats.ForLanguage(id);
-      LanguageStats hashed = sorted;
-      hashed.EnsureHashed();
-      NpmiScorer scorer(&hashed, f);
+      const FrozenStats frozen = Freeze(sorted);
+      NpmiScorer scorer(&frozen, f);
       std::vector<double> reference;
       for (const auto* side : {&train.positives, &train.negatives}) {
         for (const LabeledPair& p : *side) {
@@ -296,6 +296,41 @@ TEST(CalibrationMergeJoinTest, ScoresAndResultsBitIdenticalToHashedScorer) {
                             label + ", by string");
     }
   }
+}
+
+// Eq. 8 on hand-built score vectors: θ_k is the largest score such that
+// every prefix boundary up to it has precision (negatives / flagged) >= P.
+
+TEST(CalibrateScoresTest, PrefixAtExactlyTargetPrecisionIsIncluded) {
+  // Ascending: -0.9 n, -0.8 n, -0.7 n, -0.6 {n, p} -> 4/5 = 0.8 exactly,
+  // then -0.5 p -> 4/6.
+  const std::vector<double> scores = {-0.6, -0.5,               // positives
+                                      -0.9, -0.8, -0.7, -0.6};  // negatives
+  CalibrationOptions options;
+  options.precision_target = 0.8;
+  const CalibrationResult r = CalibrateScores(scores, 2, 4, options);
+  ASSERT_TRUE(r.has_threshold);
+  EXPECT_EQ(r.threshold, -0.6);
+  EXPECT_EQ(r.precision_at_threshold, 0.8);
+  EXPECT_EQ(r.covered_count, 4u);
+  for (size_t n = 0; n < 4; ++n) EXPECT_TRUE(r.covered_negatives.Test(n)) << n;
+}
+
+TEST(CalibrateScoresTest, StopsAtLastBoundaryBeforePrecisionDip) {
+  // Ascending: -0.9 n (1/1), -0.8 n (2/2), -0.7 p (2/3, below P), then the
+  // prefix recovers: -0.6 n (3/4), -0.5 n (4/5), -0.4 n (5/6).
+  const std::vector<double> scores = {-0.7,                           // positive
+                                      -0.9, -0.8, -0.6, -0.5, -0.4};  // negatives
+  CalibrationOptions options;
+  options.precision_target = 0.75;
+  const CalibrationResult r = CalibrateScores(scores, 1, 5, options);
+  ASSERT_TRUE(r.has_threshold);
+  EXPECT_EQ(r.threshold, -0.8);
+  EXPECT_EQ(r.precision_at_threshold, 1.0);
+  EXPECT_EQ(r.covered_count, 2u);
+  EXPECT_TRUE(r.covered_negatives.Test(0));
+  EXPECT_TRUE(r.covered_negatives.Test(1));
+  for (size_t n = 2; n < 5; ++n) EXPECT_FALSE(r.covered_negatives.Test(n)) << n;
 }
 
 // -------------------------------------------------------------- Selection

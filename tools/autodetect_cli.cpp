@@ -115,25 +115,14 @@ Status RequireFullCoverage(const ShardProvenance& prov) {
 }
 
 /// Supervision + selection + save, shared by `train`, `train --from-stats`
-/// and `retrain`. With `atomic` the model lands via temp-file + rename, so
-/// a serving process watching the path (--model-watch / ModelRegistry)
-/// only ever sees a complete artifact and hot-swaps cleanly.
+/// and `retrain`. Model::Save lands the file by temp-file + rename, so a
+/// serving process watching the path (--model-watch / ModelRegistry) only
+/// ever sees a complete artifact and hot-swaps cleanly.
 Status FinalizeAndSave(TrainSession* session, ColumnSource* source,
-                       const std::string& out, bool atomic) {
+                       const std::string& out) {
   AD_RETURN_NOT_OK(session->Supervise(source));
   AD_ASSIGN_OR_RETURN(Model model, session->Finalize());
-  if (atomic) {
-    const std::string tmp = out + ".tmp";
-    AD_RETURN_NOT_OK(model.Save(tmp).WithContext("save failed"));
-    std::error_code ec;
-    std::filesystem::rename(tmp, out, ec);
-    if (ec) {
-      return Status::IOError("cannot rename " + tmp + " to " + out + ": " +
-                             ec.message());
-    }
-  } else {
-    AD_RETURN_NOT_OK(model.Save(out).WithContext("save failed"));
-  }
+  AD_RETURN_NOT_OK(model.Save(out).WithContext("save failed"));
   std::printf("%s", model.Summary().c_str());
   std::printf("saved to %s (ADMODEL2)\n", out.c_str());
   return Status::OK();
@@ -197,7 +186,7 @@ int CmdTrain(int argc, char** argv) {
                 static_cast<unsigned long long>(session.corpus_columns()),
                 gen->profile.name.c_str(), train.precision_target,
                 HumanBytes(train.memory_budget_bytes).c_str());
-    trained = FinalizeAndSave(&session, &source, out, /*atomic=*/false);
+    trained = FinalizeAndSave(&session, &source, out);
   } else {
     auto profile = ProfileByName(profile_name);
     if (!profile.ok()) return Fail(profile.status());
@@ -215,7 +204,7 @@ int CmdTrain(int argc, char** argv) {
     TrainSession session(train);
     trained = session.BuildStats(&source);
     if (trained.ok()) {
-      trained = FinalizeAndSave(&session, &source, out, /*atomic=*/false);
+      trained = FinalizeAndSave(&session, &source, out);
     }
   }
   if (!trained.ok()) return Fail(trained.WithContext("training failed"));
@@ -395,7 +384,7 @@ int CmdRetrain(int argc, char** argv) {
               static_cast<unsigned long long>(model->trained_columns),
               add_shards.size());
   Status trained =
-      FinalizeAndSave(&session, &source, out, /*atomic=*/true);
+      FinalizeAndSave(&session, &source, out);
   if (!trained.ok()) return Fail(trained.WithContext("retrain failed"));
   if (out == model_path) {
     std::printf("swapped in place; serving processes watching it "
