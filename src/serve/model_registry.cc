@@ -1,5 +1,7 @@
 #include "serve/model_registry.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -9,8 +11,6 @@
 #include "obs/trace.h"
 
 namespace autodetect {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -135,8 +135,8 @@ Status ModelRegistry::StartWatch(const std::string& path,
   if (watcher_.joinable()) return Status::Invalid("already watching");
   watch_path_ = path;
   watch_poll_ = poll;
-  std::error_code ec;
-  watch_mtime_ = fs::last_write_time(path, ec);  // epoch on error; retried below
+  watch_version_ = FileVersion{};
+  ReadVersion(path, &watch_version_);  // zero when absent; retried below
   Status initial = Reload(path);
   {
     std::lock_guard<std::mutex> lock(watch_mu_);
@@ -144,6 +144,15 @@ Status ModelRegistry::StartWatch(const std::string& path,
   }
   watcher_ = std::thread([this] { WatchLoop(); });
   return initial;
+}
+
+bool ModelRegistry::ReadVersion(const std::string& path, FileVersion* out) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return false;
+  out->mtime_ns =
+      static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec;
+  out->inode = static_cast<uint64_t>(st.st_ino);
+  return true;
 }
 
 void ModelRegistry::StopWatch() {
@@ -173,14 +182,13 @@ void ModelRegistry::WatchLoop() {
         return;
       }
     }
-    std::error_code ec;
-    fs::file_time_type mtime = fs::last_write_time(watch_path_, ec);
-    if (ec) continue;  // file briefly absent mid-swap; try again next poll
-    // A pending backoff retries even without a new mtime — the common
+    FileVersion version;
+    if (!ReadVersion(watch_path_, &version)) continue;  // absent mid-swap; next poll
+    // A pending backoff retries even without a new version — the common
     // failure is a half-written artifact that becomes whole under the same
     // timestamp granule, and waiting for the next push would serve stale.
-    if (mtime == watch_mtime_ && backoff.count() == 0) continue;
-    watch_mtime_ = mtime;
+    if (version == watch_version_ && backoff.count() == 0) continue;
+    watch_version_ = version;
     Status status = Reload(watch_path_);
     if (status.ok()) {
       failures = 0;

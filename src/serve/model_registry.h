@@ -27,7 +27,8 @@
 /// `model.reload.errors_total` — a bad artifact push degrades to a no-op
 /// instead of an outage.
 ///
-/// An optional watcher polls the file's mtime and reloads on change, which
+/// An optional watcher polls the file's mtime and inode and reloads on
+/// change, which
 /// is the `--model-watch` CLI mode: retrain offline, `mv` the new artifact
 /// over the old path, and every serving process picks it up within one poll
 /// interval.
@@ -92,7 +93,7 @@ class ModelRegistry : public ModelProvider {
   /// Path of the last successful Reload ("" before the first).
   std::string path() const;
 
-  /// \brief Starts a background thread that polls `path`'s mtime every
+  /// \brief Starts a background thread that polls `path`'s mtime and inode every
   /// `poll` and Reloads on change. Performs one synchronous initial load —
   /// its Status is returned, and the watcher runs regardless (the file may
   /// appear or be fixed later). No-op error if already watching.
@@ -130,7 +131,18 @@ class ModelRegistry : public ModelProvider {
   std::thread watcher_;
   std::string watch_path_;
   std::chrono::milliseconds watch_poll_{1000};
-  std::filesystem::file_time_type watch_mtime_{};
+  /// What the watcher compares between polls. Model::Save lands every
+  /// model on a new inode by rename, and the new file's tick-granular mtime
+  /// can equal the old one's, so the mtime alone can miss a save.
+  struct FileVersion {
+    int64_t mtime_ns = 0;
+    uint64_t inode = 0;
+    bool operator==(const FileVersion&) const = default;
+  };
+  /// `path`'s version into `out`; false (and `out` untouched) when it
+  /// cannot be stat'ed, e.g. briefly absent mid-swap.
+  static bool ReadVersion(const std::string& path, FileVersion* out);
+  FileVersion watch_version_{};
 
   Counter* reload_total_;
   Counter* reload_errors_;
