@@ -165,9 +165,12 @@ class ReportSink {
 
 /// Anything that can execute detection requests. Implementations:
 ///  * SequentialExecutor (detector.h) — one column at a time on the calling
-///    thread, reusing one scratch; not thread-safe.
+///    thread with one caller-owned Detector, reusing one scratch; not
+///    thread-safe.
 ///  * DetectionEngine (serve/detection_engine.h) — batches fanned out over a
-///    worker pool with a shared verdict cache; thread-safe.
+///    worker pool with a shared verdict cache; thread-safe, and the one
+///    executor that follows a hot-reloading ModelProvider (it pins the
+///    current model snapshot per batch).
 ///
 /// The streaming overload is THE entry point: implementations define it, and
 /// the vector convenience below is an adapter over it. Derived

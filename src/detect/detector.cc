@@ -559,31 +559,17 @@ ColumnReport Detector::Scan(const std::vector<std::string>& values,
   return report;
 }
 
-const Detector* SequentialExecutor::CurrentDetector() {
-  if (provider_ == nullptr) return detector_;
-  const uint64_t generation = provider_->Generation();
-  if (!snapshot_detector_.has_value() || generation != snapshot_generation_) {
-    snapshot_model_ = provider_->Snapshot();
-    AD_CHECK(snapshot_model_ != nullptr);  // provider must be loaded first
-    snapshot_detector_.emplace(snapshot_model_.get(), options_);
-    snapshot_generation_ = generation;
-  }
-  return &*snapshot_detector_;
-}
-
 void SequentialExecutor::Detect(const std::vector<DetectRequest>& batch,
                                 ReportSink& sink) {
-  // One snapshot per batch: a provider swap mid-batch must not split the
-  // batch across models. Reports stream to the sink in request order (the
-  // sequential executor's delivery order is its scan order).
-  const Detector* detector = CurrentDetector();
+  // Reports stream to the sink in request order (the sequential executor's
+  // delivery order is its scan order).
   for (size_t i = 0; i < batch.size(); ++i) {
-    sink.OnReport(i, detector->Detect(batch[i], &scratch_, cache_));
+    sink.OnReport(i, detector_->Detect(batch[i], &scratch_, cache_));
   }
 }
 
 DetectReport SequentialExecutor::DetectOne(const DetectRequest& request) {
-  return CurrentDetector()->Detect(request, &scratch_, cache_);
+  return detector_->Detect(request, &scratch_, cache_);
 }
 
 }  // namespace autodetect

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -11,7 +10,6 @@
 
 #include "detect/api.h"
 #include "detect/model.h"
-#include "detect/model_provider.h"
 #include "obs/metrics.h"
 #include "stats/value_interner.h"
 #include "text/run_tokenizer.h"
@@ -255,11 +253,9 @@ class Detector {
 /// shared across calls) — that is the point: zero synchronization for
 /// embedded single-threaded callers. For concurrency use DetectionEngine.
 ///
-/// Model acquisition is either fixed (a caller-owned Detector pinned to one
-/// model) or provider-backed: given a ModelProvider, the executor pins the
-/// current snapshot per call and rebuilds its detector when the provider
-/// swaps models, so a hot reload takes effect on the next Detect/DetectOne
-/// without any caller involvement.
+/// The executor scans with one caller-owned Detector, pinned to one model.
+/// Serving from a hot-reloading ModelProvider goes through DetectionEngine,
+/// which pins the provider's current snapshot per batch.
 class SequentialExecutor : public DetectionExecutor {
  public:
   /// \param detector not owned; must outlive the executor.
@@ -268,33 +264,14 @@ class SequentialExecutor : public DetectionExecutor {
                               PairVerdictCache* cache = nullptr)
       : detector_(detector), cache_(cache) {}
 
-  /// \param provider not owned; must outlive the executor and have a loaded
-  /// model by the first Detect call.
-  explicit SequentialExecutor(ModelProvider* provider,
-                              DetectorOptions options = {},
-                              PairVerdictCache* cache = nullptr)
-      : provider_(provider), options_(options), cache_(cache) {}
-
   using DetectionExecutor::Detect;
   void Detect(const std::vector<DetectRequest>& batch, ReportSink& sink) override;
   /// Single-request convenience: scans `request` on the calling thread.
   DetectReport DetectOne(const DetectRequest& request);
 
  private:
-  /// The detector to use for this call; refreshes the pinned snapshot in
-  /// provider mode when the provider's generation moved.
-  const Detector* CurrentDetector();
-
-  const Detector* detector_ = nullptr;
-  ModelProvider* provider_ = nullptr;
-  DetectorOptions options_;
+  const Detector* detector_;
   PairVerdictCache* cache_;
-  /// Provider mode only: the pinned snapshot and its detector. The model
-  /// shared_ptr keeps the snapshot (and any mapped file behind it) alive
-  /// while this executor still points at it.
-  std::shared_ptr<const Model> snapshot_model_;
-  std::optional<Detector> snapshot_detector_;
-  uint64_t snapshot_generation_ = 0;
   ColumnScratch scratch_;
 };
 

@@ -1,9 +1,7 @@
 #include "serve/lifecycle.h"
 
-#include <algorithm>
 #include <chrono>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace autodetect {
@@ -311,123 +309,6 @@ void Watchdog::CheckNow() {
     options_.health->SetCondition("worker-wedged", wedged > 0);
     options_.health->SetUnhealthyCondition("acceptor-stalled", stalled > 0);
   }
-}
-
-// ---------------------------------------------------------------------------
-// CircuitBreaker
-
-std::string_view BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
-namespace {
-/// Same seeding discipline as the failpoint registry: a PCG stream derived
-/// from the name, so two runs see identical probe timing.
-Pcg32 BreakerRng(std::string_view name) {
-  Fnv1aHasher hasher;
-  for (char c : name) hasher.Byte(static_cast<unsigned char>(c));
-  return Pcg32(hasher.h);
-}
-}  // namespace
-
-CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
-    : options_(std::move(options)), rng_(BreakerRng(options_.name)) {
-  MetricsRegistry* registry = OrDefaultRegistry(options_.metrics);
-  const std::string prefix = "serve.breaker." + options_.name + ".";
-  open_metric_ = registry->GetCounter(prefix + "open_total");
-  rejected_metric_ = registry->GetCounter(prefix + "rejected_total");
-  state_metric_ = registry->GetGauge(prefix + "state");
-  state_metric_->Set(0.0);
-}
-
-int64_t CircuitBreaker::NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void CircuitBreaker::PublishLocked() {
-  state_metric_->Set(static_cast<double>(static_cast<uint8_t>(state_)));
-  if (options_.health != nullptr) {
-    options_.health->SetCondition("breaker:" + options_.name,
-                                  state_ != BreakerState::kClosed);
-  }
-}
-
-void CircuitBreaker::TripLocked(int64_t now_ms) {
-  state_ = BreakerState::kOpen;
-  ++consecutive_trips_;
-  uint64_t shift = std::min<size_t>(consecutive_trips_ - 1, 20);
-  uint64_t window = options_.open_base_ms << shift;
-  window = std::min(window, options_.open_max_ms);
-  window = std::max<uint64_t>(window, 1);
-  // Jitter into [w/2, w] so a fleet of breakers doesn't probe in lockstep.
-  window_ms_ = window / 2 + rng_.NextU64() % (window - window / 2 + 1);
-  reopen_at_ms_ = now_ms + static_cast<int64_t>(window_ms_);
-  open_count_.fetch_add(1, std::memory_order_relaxed);
-  open_metric_->Add(1);
-  PublishLocked();
-}
-
-bool CircuitBreaker::Allow() {
-  std::lock_guard<std::mutex> lock(mu_);
-  switch (state_) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kOpen:
-      if (NowMs() >= reopen_at_ms_) {
-        state_ = BreakerState::kHalfOpen;
-        PublishLocked();
-        return true;  // this caller is the probe
-      }
-      rejected_metric_->Add(1);
-      return false;
-    case BreakerState::kHalfOpen:
-      rejected_metric_->Add(1);  // probe already in flight
-      return false;
-  }
-  return true;
-}
-
-void CircuitBreaker::RecordSuccess() {
-  std::lock_guard<std::mutex> lock(mu_);
-  consecutive_failures_ = 0;
-  consecutive_trips_ = 0;
-  if (state_ != BreakerState::kClosed) {
-    state_ = BreakerState::kClosed;
-    PublishLocked();
-  }
-}
-
-void CircuitBreaker::RecordFailure() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int64_t now = NowMs();
-  if (state_ == BreakerState::kHalfOpen) {
-    TripLocked(now);  // probe failed: back open, doubled window
-    return;
-  }
-  if (state_ == BreakerState::kOpen) return;  // still open; nothing to do
-  if (++consecutive_failures_ >= options_.failure_threshold) {
-    TripLocked(now);
-  }
-}
-
-BreakerState CircuitBreaker::state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return state_;
-}
-
-uint64_t CircuitBreaker::open_window_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return window_ms_;
 }
 
 }  // namespace autodetect

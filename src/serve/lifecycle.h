@@ -13,13 +13,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/random.h"
 #include "common/result.h"
 #include "obs/metrics.h"
 
 /// \file lifecycle.h
 /// Server lifecycle & overload defense: the layer that turns a fast server
-/// into an operable one. Four cooperating pieces (see DESIGN.md §16):
+/// into an operable one. Three cooperating pieces (see DESIGN.md §16):
 ///
 ///   MemoryBudget    per-request and global byte budgets charged at wire
 ///                   decode and column materialization. Over budget is a
@@ -32,12 +31,9 @@
 ///                   timeout flips the ladder to degraded, a silent
 ///                   acceptor loop flips it to unhealthy. Both recover
 ///                   automatically when the stall clears.
-///   CircuitBreaker  closed/open/half-open around retryable dependencies
-///                   (model hot-reload); repeated failures stop the retry
-///                   hammering and mark the ladder degraded until a probe
-///                   succeeds. Probe scheduling is deterministic (PCG
-///                   seeded from the breaker name, the failpoint RNG
-///                   discipline) so chaos runs replay exactly.
+///
+/// Model hot-reload failures feed the ladder too, from the ModelRegistry
+/// (serve/model_registry.h), which owns the one reload retry policy.
 ///
 /// All components are thread-safe and metric-instrumented; all accept a
 /// null MetricsRegistry meaning the process default.
@@ -157,7 +153,7 @@ class MemoryBudget {
 
 enum class HealthState : uint8_t {
   kHealthy = 0,
-  kDegraded = 1,   ///< serving, but a condition is active (wedge, breaker)
+  kDegraded = 1,   ///< serving, but a condition is active (wedge, reload)
   kDraining = 2,   ///< shutting down; finishing in-flight, refusing new work
   kUnhealthy = 3,  ///< not serving (acceptor loop stalled)
 };
@@ -304,80 +300,6 @@ class Watchdog {
   bool stopping_ = false;
   std::thread thread_;
   bool started_ = false;
-};
-
-// ---------------------------------------------------------------------------
-// CircuitBreaker
-
-enum class BreakerState : uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
-
-std::string_view BreakerStateName(BreakerState state);
-
-struct CircuitBreakerOptions {
-  /// Consecutive failures that trip the breaker open.
-  size_t failure_threshold = 3;
-  /// First open window; doubles per consecutive trip up to open_max_ms,
-  /// jittered into [w/2, w] by a PCG stream seeded from `name` so probe
-  /// timing replays deterministically (the failpoint RNG discipline).
-  uint64_t open_base_ms = 100;
-  uint64_t open_max_ms = 10000;
-  /// Breaker name: seeds the jitter stream, suffixes the metrics
-  /// (serve.breaker.<name>.*) and the ladder condition ("breaker:<name>").
-  std::string name = "breaker";
-  /// Ladder to mark degraded while the breaker is open; null = none.
-  HealthLadder* health = nullptr;
-  /// Metrics destination; null means the process default registry.
-  MetricsRegistry* metrics = nullptr;
-};
-
-/// Classic closed/open/half-open circuit breaker for retryable dependencies.
-/// Callers ask Allow() before each attempt and report the outcome:
-///
-///   closed     every attempt allowed; `failure_threshold` consecutive
-///              failures trip it open.
-///   open       attempts are refused until the jittered window elapses;
-///              the first Allow() after that becomes the half-open probe.
-///   half-open  exactly one probe is in flight; success closes the breaker
-///              (window resets), failure re-opens with a doubled window.
-///
-/// Metrics: serve.breaker.<name>.state (gauge), .open_total, .rejected_total.
-class CircuitBreaker {
- public:
-  explicit CircuitBreaker(CircuitBreakerOptions options = {});
-
-  /// \brief True when the caller may attempt the protected operation. A
-  /// true return from the open state means this caller holds the half-open
-  /// probe and MUST report RecordSuccess/RecordFailure.
-  bool Allow();
-  void RecordSuccess();
-  void RecordFailure();
-
-  BreakerState state() const;
-  /// Current open-window length (for tests).
-  uint64_t open_window_ms() const;
-  uint64_t open_total() const {
-    return open_count_.load(std::memory_order_relaxed);
-  }
-  const CircuitBreakerOptions& options() const { return options_; }
-
- private:
-  void TripLocked(int64_t now_ms);
-  void PublishLocked();
-  static int64_t NowMs();
-
-  CircuitBreakerOptions options_;
-  Counter* open_metric_ = nullptr;
-  Counter* rejected_metric_ = nullptr;
-  Gauge* state_metric_ = nullptr;
-
-  mutable std::mutex mu_;
-  BreakerState state_ = BreakerState::kClosed;
-  size_t consecutive_failures_ = 0;
-  size_t consecutive_trips_ = 0;
-  uint64_t window_ms_ = 0;
-  int64_t reopen_at_ms_ = 0;
-  Pcg32 rng_;
-  std::atomic<uint64_t> open_count_{0};
 };
 
 }  // namespace autodetect

@@ -20,14 +20,20 @@ namespace {
 constexpr int64_t kBackoffBaseMs = 50;
 constexpr int64_t kBackoffMaxMs = 10'000;
 
+/// Consecutive failed reloads that mark the health ladder degraded.
+constexpr uint32_t kDegradedAfterFailures = 3;
+constexpr const char* kReloadCondition = "breaker:model-reload";
+
 }  // namespace
 
-ModelRegistry::ModelRegistry(MetricsRegistry* metrics) {
+ModelRegistry::ModelRegistry(MetricsRegistry* metrics, HealthLadder* health)
+    : health_(health) {
   MetricsRegistry* registry = OrDefaultRegistry(metrics);
   reload_total_ = registry->GetCounter("model.reload.total");
   reload_errors_ = registry->GetCounter("model.reload.errors_total");
   reload_latency_us_ = registry->GetHistogram("model.reload.latency_us");
   reload_backoff_ms_ = registry->GetGauge("model.reload.backoff_ms");
+  degraded_total_ = registry->GetCounter("serve.breaker.model-reload.open_total");
   model_bytes_ = registry->GetGauge("model.bytes");
   model_generation_ = registry->GetGauge("model.generation");
   sketch_bytes_ = registry->GetGauge("model.sketch.bytes");
@@ -57,22 +63,34 @@ void ModelRegistry::PublishModelMetrics(const std::shared_ptr<const Model>& mode
 }
 
 Status ModelRegistry::Reload(const std::string& path) {
-  CircuitBreaker* breaker = breaker_.load(std::memory_order_acquire);
-  if (breaker != nullptr && !breaker->Allow()) {
-    // Open breaker: the recent reloads all failed, so stop hammering the
-    // disk — the artifact is not touched until the probe window elapses.
-    return Status::ResourceExhausted(
-        "model-reload circuit breaker open; not rereading " + path);
-  }
   Status attempt = ReloadAttempt(path);
-  if (breaker != nullptr) {
-    if (attempt.ok()) {
-      breaker->RecordSuccess();
-    } else {
-      breaker->RecordFailure();
-    }
-  }
+  RecordOutcome(attempt.ok());
   return attempt;
+}
+
+void ModelRegistry::RecordOutcome(bool ok) {
+  // Under mu_ so a success racing a failure cannot leave the condition set
+  // with a zero streak. The condition clears last: a reader that sees the
+  // ladder healthy also sees the backoff reset.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ok) {
+    const bool degraded = failure_streak_ >= kDegradedAfterFailures;
+    failure_streak_ = 0;
+    reload_backoff_ms_->Set(0);
+    if (degraded && health_ != nullptr) {
+      health_->SetCondition(kReloadCondition, false);
+    }
+    return;
+  }
+  if (++failure_streak_ == kDegradedAfterFailures) {
+    degraded_total_->Add(1);
+    if (health_ != nullptr) health_->SetCondition(kReloadCondition, true);
+  }
+}
+
+uint32_t ModelRegistry::failure_streak() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return failure_streak_;
 }
 
 Status ModelRegistry::ReloadAttempt(const std::string& path) {
@@ -80,12 +98,6 @@ Status ModelRegistry::ReloadAttempt(const std::string& path) {
   if (AD_FAILPOINT("registry.reload.fail")) {
     reload_errors_->Add(1);
     return Status::IOError("failpoint registry.reload.fail: artifact unreadable")
-        .WithContext("reloading model from " + path);
-  }
-  if (AD_FAILPOINT("registry.reload.flap")) {
-    reload_errors_->Add(1);
-    return Status::IOError(
-               "failpoint registry.reload.flap: transient reload failure")
         .WithContext("reloading model from " + path);
   }
   Result<Model> loaded = Model::Load(path);
@@ -166,12 +178,12 @@ void ModelRegistry::StopWatch() {
 }
 
 void ModelRegistry::WatchLoop() {
-  // Backoff state is watcher-local: `failures` drives the exponential base,
-  // `backoff` is the jittered wait actually in effect (zero = healthy).
-  // Seeded from `this` so concurrent registries in one process jitter
-  // independently; reproducibility does not matter for retry spacing.
+  // The retry schedule follows the registry's failure streak, so a direct
+  // Reload that succeeds also ends the watcher's backoff. `backoff` is the
+  // jittered wait in effect while the streak is nonzero. Seeded from `this`
+  // so concurrent registries in one process jitter independently;
+  // reproducibility does not matter for retry spacing.
   Pcg32 jitter(reinterpret_cast<uintptr_t>(this) | 1u);
-  int failures = 0;
   std::chrono::milliseconds backoff{0};
   while (true) {
     const std::chrono::milliseconds wait =
@@ -182,6 +194,7 @@ void ModelRegistry::WatchLoop() {
         return;
       }
     }
+    if (failure_streak() == 0) backoff = std::chrono::milliseconds{0};
     FileVersion version;
     if (!ReadVersion(watch_path_, &version)) continue;  // absent mid-swap; next poll
     // A pending backoff retries even without a new version — the common
@@ -189,17 +202,15 @@ void ModelRegistry::WatchLoop() {
     // timestamp granule, and waiting for the next push would serve stale.
     if (version == watch_version_ && backoff.count() == 0) continue;
     watch_version_ = version;
-    Status status = Reload(watch_path_);
-    if (status.ok()) {
-      failures = 0;
+    Reload(watch_path_);  // the outcome feeds the streak
+    const uint32_t failures = failure_streak();
+    if (failures == 0) {
       backoff = std::chrono::milliseconds{0};
-      reload_backoff_ms_->Set(0);
       continue;
     }
     // Reload counted the error and kept the old snapshot; schedule a retry.
-    const int64_t base =
-        std::min(kBackoffMaxMs, kBackoffBaseMs << std::min(failures, 20));
-    failures = std::min(failures + 1, 20);
+    const int64_t base = std::min(
+        kBackoffMaxMs, kBackoffBaseMs << std::min<uint32_t>(failures - 1, 20));
     const int64_t jittered = jitter.Uniform(base / 2, base);
     backoff = std::chrono::milliseconds{jittered};
     reload_backoff_ms_->Set(static_cast<double>(jittered));

@@ -33,14 +33,22 @@
 /// over the old path, and every serving process picks it up within one poll
 /// interval.
 ///
-/// Failed watcher reloads are retried on their own schedule — exponential
-/// backoff with jitter (50ms doubling to a 10s cap), independent of any new
-/// mtime change. Without this, a transiently bad artifact (half-copied file,
-/// checksum race with the trainer's rename) would leave the registry stale
-/// until the *next* artifact push; with it, the watcher converges as soon as
-/// the file is whole. The jitter decorrelates fleets watching a shared path.
-/// The current backoff is exported as the model.reload.backoff_ms gauge
-/// (0 = healthy, polling normally).
+/// Failed reloads follow one policy, kept here. Every Reload outcome —
+/// from the watcher or from a direct caller — feeds one consecutive-failure
+/// streak. The watcher retries a failed reload on its own schedule,
+/// independent of any new mtime change: exponential backoff with jitter
+/// (50ms doubling to a 10s cap, each wait jittered into [base/2, base]).
+/// Without this, a transiently bad artifact (half-copied file, checksum
+/// race with the trainer's rename) would leave the registry stale until the
+/// *next* artifact push; with it, the watcher converges as soon as the file
+/// is whole. The jitter decorrelates fleets watching a shared path. The
+/// current wait is exported as the model.reload.backoff_ms gauge (0 =
+/// healthy, polling normally). When the streak reaches 3, the registry
+/// marks the "breaker:model-reload" condition on the health ladder passed
+/// at construction (the server shows degraded) and counts one
+/// serve.breaker.model-reload.open_total; the first successful reload
+/// clears the condition and the backoff. Every Reload reads the file:
+/// the backoff alone spaces the watcher's retries.
 ///
 /// Metrics (into the registry passed at construction):
 ///   model.reload.total        successful reloads (includes the first load)
@@ -49,27 +57,23 @@
 ///   model.reload.latency_us   load+swap latency histogram
 ///   model.bytes               backing artifact bytes of the live model
 ///   model.generation          current snapshot generation
+///   serve.breaker.model-reload.open_total
+///                             failure streaks that reached 3
 ///
-/// Failpoints (chaos builds only): registry.reload.fail makes Reload fail
+/// Failpoint (chaos builds only): registry.reload.fail makes Reload fail
 /// as if the artifact were unreadable — the standard way to exercise the
-/// fail-closed path and the watcher's backoff in tests.
-/// registry.reload.flap is the intermittent variant (arm it with a
-/// probability or hit-count spec) for driving an attached CircuitBreaker
-/// through open/half-open/closed in chaos runs.
-///
-/// With AttachBreaker, every Reload first consults the breaker: while it is
-/// open the artifact is not touched at all (typed kResourceExhausted
-/// instead of another disk read), and reload outcomes feed the breaker so
-/// repeated failures trip it and a successful half-open probe closes it.
-/// The breaker's health-ladder coupling (when configured there) marks the
-/// server degraded for exactly the open/half-open span.
+/// fail-closed path, the watcher's backoff and the degraded condition in
+/// tests. A hit-count or probability spec makes it intermittent.
 
 namespace autodetect {
 
 class ModelRegistry : public ModelProvider {
  public:
   /// \param metrics null means the process default registry.
-  explicit ModelRegistry(MetricsRegistry* metrics = nullptr);
+  /// \param health ladder that shows a failing reload streak as degraded
+  /// (not owned; must outlive the registry); null means none.
+  explicit ModelRegistry(MetricsRegistry* metrics = nullptr,
+                         HealthLadder* health = nullptr);
   ~ModelRegistry() override;
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -106,24 +110,22 @@ class ModelRegistry : public ModelProvider {
 
   bool watching() const { return watcher_.joinable(); }
 
-  /// \brief Routes every subsequent Reload through `breaker` (not owned;
-  /// null detaches). Attach before serving starts — the pointer is read
-  /// without synchronization beyond the atomic itself.
-  void AttachBreaker(CircuitBreaker* breaker) {
-    breaker_.store(breaker, std::memory_order_release);
-  }
-
  private:
   void WatchLoop();
   Status ReloadAttempt(const std::string& path);
+  /// Feeds one Reload outcome into the failure streak and the ladder.
+  void RecordOutcome(bool ok);
+  uint32_t failure_streak() const;
   void PublishModelMetrics(const std::shared_ptr<const Model>& model,
                            uint64_t generation);
 
-  mutable std::mutex mu_;  ///< guards model_ and path_
+  HealthLadder* health_;
+  mutable std::mutex mu_;  ///< guards model_, path_ and failure_streak_
   std::shared_ptr<const Model> model_;
   std::string path_;
   std::atomic<uint64_t> generation_{0};
-  std::atomic<CircuitBreaker*> breaker_{nullptr};
+  /// Consecutive failed Reloads; 0 after any success.
+  uint32_t failure_streak_ = 0;
 
   std::mutex watch_mu_;  ///< guards stop + cv for the watcher thread
   std::condition_variable watch_cv_;
@@ -148,6 +150,7 @@ class ModelRegistry : public ModelProvider {
   Counter* reload_errors_;
   Histogram* reload_latency_us_;
   Gauge* reload_backoff_ms_;
+  Counter* degraded_total_;  ///< serve.breaker.model-reload.open_total
   Gauge* model_bytes_;
   Gauge* model_generation_;
   Gauge* sketch_bytes_;      ///< model.sketch.bytes — live sketch counters
@@ -155,9 +158,5 @@ class ModelRegistry : public ModelProvider {
   Gauge* sketch_width_;      ///< model.sketch.width (widest language)
   Gauge* sketch_depth_;      ///< model.sketch.depth (deepest language)
 };
-
-/// Interface-style name for the registry-backed provider (the counterpart
-/// of FixedModel in the ModelProvider family).
-using RegistryModel = ModelRegistry;
 
 }  // namespace autodetect

@@ -100,59 +100,6 @@ void CountMinSketch::AddConservative(uint64_t key, uint64_t count) {
   total_ += count;
 }
 
-Status CountMinSketch::Merge(const CountMinSketch& other) {
-  if (width_ != other.width_ || hashes_.size() != other.hashes_.size()) {
-    return Status::Invalid("cannot merge sketches with different dimensions");
-  }
-  for (size_t i = 0; i < hashes_.size(); ++i) {
-    if (hashes_[i].a() != other.hashes_[i].a() ||
-        hashes_[i].b() != other.hashes_[i].b()) {
-      return Status::Invalid("cannot merge sketches with different hash seeds");
-    }
-  }
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i] = SaturatingAdd(rows_[i], other.rows_[i]);
-  }
-  total_ += other.total_;
-  return Status::OK();
-}
-
-void CountMinSketch::Serialize(BinaryWriter* writer) const {
-  writer->WriteU64(width_);
-  writer->WriteU64(hashes_.size());
-  for (const auto& h : hashes_) {
-    writer->WriteU64(h.a());
-    writer->WriteU64(h.b());
-  }
-  writer->WriteU64(total_);
-  writer->WriteU64(rows_.size());
-  for (uint32_t v : rows_) writer->WriteU32(v);
-}
-
-Result<CountMinSketch> CountMinSketch::Deserialize(BinaryReader* reader) {
-  AD_ASSIGN_OR_RETURN(uint64_t width, reader->ReadU64());
-  AD_ASSIGN_OR_RETURN(uint64_t depth, reader->ReadU64());
-  if (width == 0 || depth == 0 || width * depth > (1ULL << 33)) {
-    return Status::Corruption("implausible sketch dimensions");
-  }
-  CountMinSketch sketch(1, 1);
-  sketch.width_ = static_cast<size_t>(width);
-  sketch.hashes_.clear();
-  for (uint64_t i = 0; i < depth; ++i) {
-    AD_ASSIGN_OR_RETURN(uint64_t a, reader->ReadU64());
-    AD_ASSIGN_OR_RETURN(uint64_t b, reader->ReadU64());
-    sketch.hashes_.emplace_back(a, b);
-  }
-  AD_ASSIGN_OR_RETURN(sketch.total_, reader->ReadU64());
-  AD_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
-  if (n != width * depth) return Status::Corruption("sketch size mismatch");
-  sketch.rows_.resize(static_cast<size_t>(n));
-  for (auto& v : sketch.rows_) {
-    AD_ASSIGN_OR_RETURN(v, reader->ReadU32());
-  }
-  return sketch;
-}
-
 size_t CountMinSketch::FrozenBytes(size_t width, size_t depth) {
   size_t planes_off = RoundUpTo(kFrozenHeadBytes + depth * 16, kPlaneAlign);
   size_t stride = RoundUpTo(width * sizeof(uint32_t), kPlaneAlign);

@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "common/result.h"
-#include "io/serde.h"
 
 /// \file count_min.h
 /// Count–min sketch (Cormode & Muthukrishnan 2005), used per paper Sec. 3.4
@@ -70,16 +69,6 @@ class CountMinSketch {
   /// counters no longer each sum to TotalMass().
   void AddConservative(uint64_t key, uint64_t count = 1);
 
-  /// \brief Element-wise sum with `other` (counter saturation preserved).
-  /// Requires identical width, depth and hash parameters — i.e. both
-  /// sketches built with the same (width, depth, seed). Merging sketches fed
-  /// by plain Add is exact: the merged sketch equals the sketch of the
-  /// concatenated streams, so Merge is associative and commutative (the
-  /// property distributed stats aggregation relies on). Sketches fed by
-  /// AddConservative merge safely (never-underestimate still holds) but the
-  /// merged estimates may be looser than a single-pass conservative build.
-  Status Merge(const CountMinSketch& other);
-
   /// Total mass inserted (sum of all Add counts).
   uint64_t TotalMass() const { return total_; }
 
@@ -88,9 +77,6 @@ class CountMinSketch {
 
   /// Bytes of counter storage (the dominant memory term).
   size_t MemoryBytes() const { return rows_.size() * sizeof(uint32_t); }
-
-  void Serialize(BinaryWriter* writer) const;
-  static Result<CountMinSketch> Deserialize(BinaryReader* reader);
 
   /// Frozen blob geometry: header + hash params padded to kPlaneAlign, then
   /// depth counter planes each padded to a kPlaneAlign multiple, so planes

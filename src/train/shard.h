@@ -75,8 +75,8 @@ Status WriteShard(const std::string& path, const StatsShard& shard);
 
 /// \brief Reads and validates an ADSHARD1 file. Fail-closed: checksums are
 /// verified before any byte is interpreted, and every error names `path`
-/// and the offending section. The returned dictionaries hold only their
-/// sorted entries (hash-deferred) until first probed.
+/// and the offending section. Each language's dictionaries come back as
+/// the ascending (key, count) entry arrays the file stores, ready to merge.
 Result<StatsShard> ReadShard(const std::string& path);
 
 /// \brief The merge contract, checked without touching any count: at least
@@ -91,9 +91,9 @@ Result<ShardProvenance> CheckMergeable(std::vector<const StatsShard*> shards);
 
 /// \brief The deterministic file reducer: merges shards of one corpus into
 /// a single shard covering their combined range (CheckMergeable's contract).
-/// Each language is a sorted merge-join (LanguageStats::MergeCanonical) left
-/// hash-deferred, so ANY input order yields the same counts and the same
-/// serialized bytes without building a probe array.
+/// Each language folds by LanguageStats::Merge, a two-pointer merge of the
+/// sorted entry arrays whose result is again sorted, so ANY input order
+/// yields the same counts and the same serialized bytes.
 Result<StatsShard> MergeShards(std::vector<StatsShard> shards);
 
 /// \brief Convenience: ReadShard each path, then MergeShards.

@@ -9,6 +9,7 @@
 #include "corpus/corpus_generator.h"
 #include "detect/detector.h"
 #include "detect/trainer.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -177,8 +178,7 @@ TEST_F(DetectFixture, AggregationNamesDistinct) {
 }
 
 TEST_F(DetectFixture, SaveLoadRoundTripPreservesVerdicts) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "ad_model_test.bin").string();
+  std::string path = TempPath("ad_model_test.bin");
   ASSERT_TRUE(model_->Save(path).ok());
   auto loaded = Model::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -202,8 +202,7 @@ TEST_F(DetectFixture, SaveLoadRoundTripPreservesVerdicts) {
 }
 
 TEST_F(DetectFixture, LoadRejectsGarbageFile) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "ad_garbage.bin").string();
+  std::string path = TempPath("ad_garbage.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a model";

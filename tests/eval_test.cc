@@ -12,6 +12,7 @@
 #include "eval/metrics.h"
 #include "eval/testcase.h"
 #include "stats/stats_builder.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -242,8 +243,7 @@ TEST(MetricsTest, FormatTableContainsMethodsAndKs) {
 
 TEST(CsvBenchmarkTest, BuildsAndReloadsConsistently) {
   CsvBenchmarkOptions opts;
-  opts.directory =
-      (std::filesystem::temp_directory_path() / "ad_csvbench_test").string();
+  opts.directory = TempPath("ad_csvbench_test");
   opts.num_files = 5;
   opts.total_columns = 30;
   std::filesystem::remove_all(opts.directory);

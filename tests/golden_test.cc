@@ -24,6 +24,7 @@
 #include "corpus/corpus_generator.h"
 #include "detect/trainer.h"
 #include "serve/detection_engine.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -101,8 +102,7 @@ TEST(GoldenTest, FindingsMatchCheckedInGolden) {
 
   // Round-trip through the on-disk format: the golden file also guards the
   // serializer, and detection runs on the mapped copy like a real deployment.
-  std::string model_path =
-      (std::filesystem::temp_directory_path() / "ad_golden_model.bin").string();
+  std::string model_path = TempPath("ad_golden_model.bin");
   ASSERT_TRUE(trained->Save(model_path).ok());
   auto model = Model::Load(model_path);
   ASSERT_TRUE(model.ok()) << model.status().ToString();

@@ -15,6 +15,7 @@
 #include "eval/metrics.h"
 #include "eval/testcase.h"
 #include "stats/stats_builder.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -151,8 +152,7 @@ TEST_F(IntegrationFixture, HighPrecisionTargetShrinksOrKeepsCoverage) {
 }
 
 TEST_F(IntegrationFixture, DetectionSurvivesModelRoundTripThroughDisk) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "ad_integration_model.bin").string();
+  std::string path = TempPath("ad_integration_model.bin");
   ASSERT_TRUE(model_->Save(path).ok());
   auto loaded = Model::Load(path);
   ASSERT_TRUE(loaded.ok());

@@ -13,6 +13,7 @@
 #include "io/csv.h"
 #include "io/mmap_file.h"
 #include "io/serde.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -129,8 +130,7 @@ TEST(CsvTest, RoundTripRandomTables) {
 }
 
 TEST(CsvTest, FileRoundTrip) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "ad_csv_test.csv").string();
+  std::string path = TempPath("ad_csv_test.csv");
   CsvTable t;
   t.header = {"x"};
   t.rows.push_back({"1"});
@@ -280,7 +280,7 @@ TEST(SerdeTest, CorruptTagsSemanticErrorsWithOffset) {
 // ------------------------------------------------------------------ Mmap
 
 std::string WriteTempFile(const std::string& name, const std::string& contents) {
-  std::string path = (std::filesystem::temp_directory_path() / name).string();
+  std::string path = TempPath(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << contents;
   return path;

@@ -2,21 +2,28 @@
 /// Unit tests for the server lifecycle & overload-defense layer
 /// (serve/lifecycle.h): MemoryBudget two-phase charging, HealthLadder
 /// severity/stickiness, Watchdog wedge and stall detection, and the
-/// CircuitBreaker state machine with its deterministic jittered windows.
-/// Everything here is synchronous — time-dependent behaviour is driven
-/// through CheckNow() and small real windows, never through sleeps-and-hope
-/// assertions on background threads.
+/// ModelRegistry's reload-failure policy as the ladder sees it. Watchdog
+/// timing is driven through CheckNow() and small real windows; the one
+/// background thread here, the registry's watcher, is awaited by polling
+/// with a deadline, never by a fixed sleep.
 
 #include "serve/lifecycle.h"
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
+#include "corpus/corpus_generator.h"
+#include "detect/trainer.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -217,130 +224,112 @@ TEST(WatchdogTest, NullSafeTaskScopeAndThreadLifecycle) {
   dog.Stop();  // idempotent
 }
 
-// ----------------------------------------------------------- CircuitBreaker
+// ---------------------------------------------------- Model reload policy
 
-CircuitBreakerOptions FastBreaker(std::string name, HealthLadder* health,
-                                  MetricsRegistry* metrics) {
-  CircuitBreakerOptions options;
-  options.failure_threshold = 3;
-  options.open_base_ms = 20;
-  options.open_max_ms = 200;
-  options.name = std::move(name);
-  options.health = health;
-  options.metrics = metrics;
-  return options;
+/// A one-language model trained on a small corpus: enough for a real
+/// artifact on disk, cheap enough for a per-case ctest process.
+const Model& TinyModel() {
+  static const Model* model = [] {
+    GeneratorOptions gen;
+    gen.num_columns = 120;
+    gen.inject_errors = false;
+    gen.seed = 3160;
+    GeneratedColumnSource source(gen);
+    TrainOptions train;
+    train.stats.language_ids = {LanguageSpace::IdOf(LanguageSpace::CrudeG())};
+    train.supervision.target_positives = 300;
+    train.supervision.target_negatives = 300;
+    train.corpus_name = "lifecycle-test";
+    auto trained = TrainModel(&source, train);
+    AD_CHECK(trained.ok()) << trained.status().ToString();
+    return new Model(std::move(*trained));
+  }();
+  return *model;
 }
 
-TEST(CircuitBreakerTest, TripsAfterThresholdAndRefusesWhileOpen) {
-  MetricsRegistry metrics;
-  HealthLadder ladder;
-  CircuitBreaker breaker(FastBreaker("reload", &ladder, &metrics));
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(breaker.Allow());
-    breaker.RecordFailure();
-    EXPECT_EQ(breaker.state(), BreakerState::kClosed);  // under threshold
+/// Polls `done` every 5ms for up to 20s; true once it holds.
+template <typename Pred>
+bool WaitFor(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();  // third consecutive failure trips it
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.open_total(), 1u);
+  return true;
+}
+
+TEST(ModelReloadPolicyTest, ThreeFailedReloadsDegradeAndEveryReloadReadsDisk) {
+  MetricsRegistry metrics;
+  HealthLadder ladder(&metrics);
+  ModelRegistry registry(&metrics, &ladder);
+  Counter* errors = metrics.GetCounter("model.reload.errors_total");
+  Counter* open_total = metrics.GetCounter("serve.breaker.model-reload.open_total");
+  const uint64_t errors_before = errors->Value();
+  const std::string missing = TempPath("ad_lifecycle_missing.model");
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(ladder.state(), HealthState::kHealthy) << "after " << i << " failures";
+    EXPECT_FALSE(registry.Reload(missing).ok());
+  }
   EXPECT_EQ(ladder.state(), HealthState::kDegraded);
-  EXPECT_FALSE(breaker.Allow());  // refused inside the window
+  EXPECT_NE(ladder.ToJson().find("breaker:model-reload"), std::string::npos);
   if (kMetricsEnabled) {
-    EXPECT_GE(metrics.GetCounter("serve.breaker.reload.rejected_total")->Value(),
-              1u);
+    EXPECT_EQ(errors->Value(), errors_before + 3);
+    EXPECT_EQ(open_total->Value(), 1u);
   }
-  // The jittered window lands in [base/2, base].
-  EXPECT_GE(breaker.open_window_ms(), 10u);
-  EXPECT_LE(breaker.open_window_ms(), 20u);
-}
 
-TEST(CircuitBreakerTest, HalfOpenProbeClosesOnSuccess) {
-  HealthLadder ladder;
-  CircuitBreaker breaker(FastBreaker("probe-ok", &ladder, nullptr));
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(breaker.Allow());
-    breaker.RecordFailure();
+  // A fourth Reload still reads the disk: another IO failure, not a refusal.
+  Status fourth = registry.Reload(missing);
+  EXPECT_FALSE(fourth.ok());
+  EXPECT_FALSE(fourth.IsResourceExhausted());
+  if (kMetricsEnabled) {
+    EXPECT_EQ(errors->Value(), errors_before + 4);
+    EXPECT_EQ(open_total->Value(), 1u);
   }
-  ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(breaker.open_window_ms() + 5));
-  // First Allow after the window is the probe; it transitions to half-open.
-  ASSERT_TRUE(breaker.Allow());
-  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  EXPECT_FALSE(breaker.Allow());  // only one probe in flight
-  breaker.RecordSuccess();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_EQ(ladder.state(), HealthState::kHealthy);
-  // A closed breaker starts counting failures from zero again.
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
 }
 
-TEST(CircuitBreakerTest, FailedProbeReopensWithDoubledWindow) {
-  CircuitBreaker breaker(FastBreaker("probe-bad", nullptr, nullptr));
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(breaker.Allow());
-    breaker.RecordFailure();
-  }
-  const uint64_t first_window = breaker.open_window_ms();
-  std::this_thread::sleep_for(std::chrono::milliseconds(first_window + 5));
-  ASSERT_TRUE(breaker.Allow());
-  breaker.RecordFailure();  // probe fails: re-trip, window doubles
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_EQ(breaker.open_total(), 2u);
-  EXPECT_GE(breaker.open_window_ms(), 20u);  // [40/2, 40] after doubling
-  EXPECT_LE(breaker.open_window_ms(), 40u);
-}
+TEST(ModelReloadPolicyTest, WatchedCorruptArtifactDegradesUntilGoodModelLands) {
+  namespace fs = std::filesystem;
+  const std::string path = TempPath("ad_lifecycle_watch.model");
+  const std::string staged = TempPath("ad_lifecycle_corrupt.model");
+  ASSERT_TRUE(TinyModel().Save(path).ok());
 
-TEST(CircuitBreakerTest, JitterIsDeterministicPerName) {
-  // Same name => same PCG stream => identical window sequence, run to run.
-  auto windows = [](const std::string& name) {
-    CircuitBreaker breaker(FastBreaker(name, nullptr, nullptr));
-    std::vector<uint64_t> out;
-    for (int trip = 0; trip < 3; ++trip) {
-      for (int i = 0; i < 3; ++i) {
-        if (breaker.Allow()) breaker.RecordFailure();
-      }
-      out.push_back(breaker.open_window_ms());
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(breaker.open_window_ms() + 5));
-      if (breaker.Allow()) breaker.RecordFailure();  // re-trip via probe
-      out.push_back(breaker.open_window_ms());
-      if (breaker.state() == BreakerState::kOpen) break;  // enough samples
-    }
-    return out;
-  };
-  EXPECT_EQ(windows("alpha"), windows("alpha"));
-}
-
-TEST(CircuitBreakerTest, RegistryReloadRefusedWhileOpen) {
   MetricsRegistry metrics;
-  CircuitBreaker breaker(FastBreaker("model-reload", nullptr, &metrics));
-  ModelRegistry registry(&metrics);
-  registry.AttachBreaker(&breaker);
-  const uint64_t errors_before =
-      metrics.GetCounter("model.reload.errors_total")->Value();
-  // Three loads of a nonexistent artifact trip the breaker...
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(registry.Reload("/nonexistent/model.bin").ok());
+  HealthLadder ladder(&metrics);
+  ModelRegistry registry(&metrics, &ladder);
+  Gauge* backoff = metrics.GetGauge("model.reload.backoff_ms");
+  ASSERT_TRUE(registry.StartWatch(path, std::chrono::milliseconds(10)).ok());
+  const uint64_t generation = registry.Generation();
+  const std::shared_ptr<const Model> served = registry.Snapshot();
+  ASSERT_NE(served, nullptr);
+
+  // A corrupt artifact lands by rename, as a save would: the watcher's
+  // retries keep failing and the ladder turns degraded.
+  {
+    std::ofstream out(staged, std::ios::binary);
+    out << "ADMODEL2 this is not a model";
   }
-  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
+  fs::rename(staged, path);
+  ASSERT_TRUE(WaitFor([&] { return ladder.state() == HealthState::kDegraded; }))
+      << "three failed watcher reloads never degraded the ladder";
+  EXPECT_EQ(registry.Generation(), generation);
+  EXPECT_EQ(registry.Snapshot(), served);
   if (kMetricsEnabled) {
-    EXPECT_EQ(metrics.GetCounter("model.reload.errors_total")->Value(),
-              errors_before + 3);
+    EXPECT_GT(backoff->Value(), 0.0);
   }
-  // ...after which Reload is refused without touching the disk: typed
-  // kResourceExhausted, and errors_total does NOT advance.
-  Status refused = registry.Reload("/nonexistent/model.bin");
-  EXPECT_TRUE(refused.IsResourceExhausted());
+
+  // A good model lands: the next retry swaps it in and clears the policy.
+  ASSERT_TRUE(TinyModel().Save(path).ok());
+  ASSERT_TRUE(WaitFor([&] {
+    return registry.Generation() > generation &&
+           ladder.state() == HealthState::kHealthy;
+  })) << "the good model never cleared the degraded condition";
+  EXPECT_EQ(ladder.ToJson().find("breaker:model-reload"), std::string::npos);
   if (kMetricsEnabled) {
-    EXPECT_EQ(metrics.GetCounter("model.reload.errors_total")->Value(),
-              errors_before + 3);
+    EXPECT_EQ(backoff->Value(), 0.0);
   }
+  registry.StopWatch();
+  fs::remove(path);
 }
 
 }  // namespace

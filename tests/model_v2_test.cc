@@ -21,17 +21,10 @@
 #include "detect/detector.h"
 #include "detect/trainer.h"
 #include "text/pattern.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
-
-/// ctest runs each case as its own process, in parallel, and copies of this
-/// binary may run at once: the pid keeps their files apart.
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "_" + name))
-      .string();
-}
 
 Result<std::string> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -36,6 +36,7 @@
 #include "detect/trainer.h"
 #include "eval/metrics.h"
 #include "eval/testcase.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -70,10 +71,6 @@ constexpr double kRecallGate = 0.05;
 /// golden drift instead of being silently absorbed by a loose gate.
 const size_t kGateKs[] = {50, 100, 200};
 const size_t kReportKs[] = {50, 100, 200, 400};
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 uint64_t ReadU64At(const std::string& bytes, size_t offset) {
   uint64_t v = 0;

@@ -26,6 +26,7 @@
 #include "serve/detection_engine.h"
 #include "serve/model_registry.h"
 #include "serve/resilience.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -598,8 +599,7 @@ TEST_F(ResilienceFixture, WatcherRetriesFailedReloadWithBackoff) {
     GTEST_SKIP() << "needs the registry.reload.fail failpoint (chaos build)";
   }
   namespace fs = std::filesystem;
-  const std::string path =
-      (fs::temp_directory_path() / "ad_resilience_watch.model").string();
+  const std::string path = TempPath("ad_resilience_watch.model");
   ASSERT_TRUE(model_->Save(path).ok());
 
   ModelRegistry registry;

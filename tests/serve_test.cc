@@ -8,7 +8,6 @@
 // DetectionEngine/ShardedPairCache fail that gate rather than flaking.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -26,6 +25,7 @@
 #include "detect/trainer.h"
 #include "serve/detection_engine.h"
 #include "serve/model_registry.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
@@ -535,14 +535,6 @@ const Model& VariantModel() {
   return *model;
 }
 
-/// ctest runs each case as its own process, in parallel, and copies of this
-/// binary may run at once: the pid keeps their mapped model files apart.
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(getpid()) + "_" + name))
-      .string();
-}
-
 TEST_F(ServeFixture, RegistryFailedReloadKeepsServingOldModel) {
   std::string good = TempPath("ad_serve_registry_good.bin");
   std::string bad = TempPath("ad_serve_registry_bad.bin");
@@ -655,10 +647,10 @@ TEST_F(ServeFixture, WatcherPicksUpRewrittenArtifact) {
   uint64_t gen0 = registry.Generation();
   ASSERT_GT(gen0, 0u);
 
-  // The sequential executor in provider mode follows the swap too.
+  // An engine over the registry follows the swap too.
   std::vector<std::string> values = {"2011-01-01", "2011-01-02", "2011/01/03"};
-  SequentialExecutor executor(&registry);
-  DetectReport before = executor.DetectOne(DetectRequest{"dates", values});
+  DetectionEngine engine(&registry);
+  DetectReport before = engine.Detect({DetectRequest{"dates", values}}).front();
 
   // Rewrite the artifact in place (retrain-and-mv shape) and nudge the mtime
   // forward in case the filesystem clock is coarse.
@@ -677,7 +669,7 @@ TEST_F(ServeFixture, WatcherPicksUpRewrittenArtifact) {
   registry.StopWatch();
   EXPECT_FALSE(registry.watching());
 
-  DetectReport after = executor.DetectOne(DetectRequest{"dates", values});
+  DetectReport after = engine.Detect({DetectRequest{"dates", values}}).front();
   Detector variant_detector(&VariantModel());
   EXPECT_EQ(Fingerprint(after.column), Fingerprint(Analyze(variant_detector, values)));
   (void)before;

@@ -5,7 +5,6 @@
 // merge-or-fail CorpusStats::Insert semantics they depend on.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -21,17 +20,12 @@
 #include "detect/trainer.h"
 #include "io/serde.h"
 #include "train/shard.h"
+#include "temp_path.h"
 
 namespace autodetect {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// ctest runs each case of this binary as its own process, in parallel, and
-/// several cases save through one helper: the pid keeps their files apart.
-std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / (std::to_string(getpid()) + "_" + name)).string();
-}
 
 /// A small candidate set (crude G + a spread of real languages) keeps each
 /// statistics pass cheap enough for property-style repetition.

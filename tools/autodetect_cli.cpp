@@ -616,9 +616,9 @@ int CmdServe(int argc, char** argv) {
   MetricsRegistry* registry = MetricsRegistry::Default();
   std::unique_ptr<MetricsDumper> dumper = metrics.StartDumper(registry);
 
-  // Lifecycle subsystem: health ladder behind /healthz, watchdog over the
-  // dispatch workers and acceptor loops, memory budget on the request path,
-  // and a circuit breaker around model hot-reload.
+  // Lifecycle subsystem: health ladder behind /healthz (also fed by a
+  // --model-watch registry's failing reloads), watchdog over the dispatch
+  // workers and acceptor loops, and memory budget on the request path.
   HealthLadder health(registry);
   WatchdogOptions dog_opts;
   dog_opts.wedge_timeout_ms = static_cast<uint64_t>(wedge_timeout_ms);
@@ -631,19 +631,9 @@ int CmdServe(int argc, char** argv) {
   budget_opts.per_request_bytes = static_cast<size_t>(request_budget_mb) << 20;
   budget_opts.metrics = registry;
   MemoryBudget memory(budget_opts);
-  CircuitBreakerOptions breaker_opts;
-  breaker_opts.name = "model-reload";
-  breaker_opts.health = &health;
-  breaker_opts.metrics = registry;
-  CircuitBreaker reload_breaker(breaker_opts);
 
-  auto provider = model_flags.MakeProvider(registry);
+  auto provider = model_flags.MakeProvider(registry, &health);
   if (!provider.ok()) return Fail(provider.status());
-  if (auto* model_registry = dynamic_cast<ModelRegistry*>(provider->get())) {
-    // --model-watch: repeated reload failures trip the breaker, stop the
-    // disk hammering, and mark the server degraded until a probe succeeds.
-    model_registry->AttachBreaker(&reload_breaker);
-  }
 
   // The engine is the one admission gate: each batch is charged to its
   // request's tenant under this table.

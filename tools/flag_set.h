@@ -220,13 +220,14 @@ struct ModelFlags {
   }
 
   /// \brief Builds the provider the flags describe: a FixedModel around one
-  /// load, or a watching ModelRegistry when --model-watch is set. The
+  /// load, or a watching ModelRegistry when --model-watch is set, which
+  /// marks `health` (if any) degraded while its reloads keep failing. The
   /// returned provider owns the model/registry; keep it alive as long as
-  /// any executor built on it.
+  /// any executor built on it, and keep `health` alive longer.
   Result<std::unique_ptr<ModelProvider>> MakeProvider(
-      MetricsRegistry* metrics) const {
+      MetricsRegistry* metrics, HealthLadder* health = nullptr) const {
     if (model_watch) {
-      auto registry = std::make_unique<ModelRegistry>(metrics);
+      auto registry = std::make_unique<ModelRegistry>(metrics, health);
       AD_RETURN_NOT_OK(registry->StartWatch(
           model, std::chrono::milliseconds(model_poll_ms)));
       return std::unique_ptr<ModelProvider>(std::move(registry));

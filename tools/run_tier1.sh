@@ -82,8 +82,9 @@
 # Combined chaos serving: SERVE=on FAILPOINTS=on boots the chaos build's
 # server twice — once with serve.worker.wedge armed (the health ladder must
 # flip degraded and recover to healthy, watched from outside via /healthz),
-# once with registry.reload.flap armed under --model-watch (repeated reload
-# failures must trip the model-reload circuit breaker, visible in the
+# once with registry.reload.fail armed after the first load under
+# --model-watch (three failed reloads in a row must mark the server
+# degraded and count serve.breaker.model-reload.open_total, visible in the
 # /metrics scrape) — and finishes each with a POST /drain shutdown:
 #
 #   SERVE=on FAILPOINTS=on tools/run_tier1.sh
@@ -170,9 +171,9 @@ if [[ "$FAILPOINTS" == "on" && "$SERVE" == "on" ]]; then
   rm -f "$SERVE_DIR/port"
 
   # --- Flapping-reload chaos: the initial load succeeds (skip1), every
-  # watcher reload after it fails, and the repeated failures must trip the
-  # model-reload circuit breaker where the scrape can see it.
-  AD_FAILPOINTS="registry.reload.flap=skip1" \
+  # watcher reload after it fails, and the third failure in a row must
+  # count serve.breaker.model-reload.open_total where the scrape can see it.
+  AD_FAILPOINTS="registry.reload.fail=skip1" \
     "$BUILD_DIR/tools/autodetect_cli" serve --model "$SERVE_DIR/model.bin" \
     --model-watch --model-poll-ms 50 \
     --port 0 --port-file "$SERVE_DIR/port" &
@@ -193,11 +194,11 @@ if [[ "$FAILPOINTS" == "on" && "$SERVE" == "on" ]]; then
     fi
     sleep 0.1
   done
-  [[ -n "$TRIPPED" ]] || { echo "reload flapping never tripped the circuit breaker" >&2; exit 1; }
+  [[ -n "$TRIPPED" ]] || { echo "reload flapping never counted a failure streak" >&2; exit 1; }
   "$BUILD_DIR/tools/serve_smoke" --port "$PORT" --mode drain --wait-ms 10000
   wait "$SERVE_PID" || { echo "flap server exited non-zero after drain" >&2; exit 1; }
   SERVE_PID=""
-  echo "chaos serving green: wedge -> degraded -> healthy; reload flapping tripped the breaker; POST /drain exits 0"
+  echo "chaos serving green: wedge -> degraded -> healthy; reload flapping degraded the server; POST /drain exits 0"
   exit 0
 fi
 
@@ -384,7 +385,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 # expands to a literal `false`, so no site name may survive as a string in
 # the shipped binary (grep -a scans the raw binary).
 for site in serve.worker.slow serve.worker.wedge net.accept.fail \
-            net.read.oom registry.reload.flap; do
+            net.read.oom registry.reload.fail; do
   if grep -aq "$site" "$BUILD_DIR/tools/autodetect_cli"; then
     echo "failpoint site string '$site' leaked into the default build" >&2
     exit 1
